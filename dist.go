@@ -179,24 +179,6 @@ func (d *DistDataset) EstimatorName() string {
 	return EstimatorSpan
 }
 
-// RunDist executes one distributed scatter-gather Audit Join over the
-// fleet, with shard.RunScatter's contract: xopts.MaxWalks is the total walk
-// budget split across strata proportionally to root cardinality,
-// progressive snapshots merge all strata through xopts.OnSnapshot, and the
-// final CIs merge with stratified variance. On worker loss the lost stratum
-// re-runs on a survivor (see DistRunStats.Reallocations).
-func (d *DistDataset) RunDist(ctx context.Context, pl *Plan, opts DistRunOptions, xopts DriveOptions) (EstimateResult, DistRunStats, error) {
-	if opts.Estimator == "" {
-		opts.Estimator = d.estimator
-	}
-	return d.co.Run(ctx, pl.Query, opts, xopts)
-}
-
-// CompileUnion validates and plans every branch of a union.
-func (d *DistDataset) CompileUnion(u *UnionQuery) (*UnionPlan, error) {
-	return query.CompileUnion(u)
-}
-
 // ExactUnionCtx evaluates a union exactly on one worker, which shares the
 // DISTINCT dedup set and AVG numerator/denominator across branches against
 // its hybrid-resolver view of the whole set. Retries on worker loss.
@@ -204,24 +186,17 @@ func (d *DistDataset) ExactUnionCtx(ctx context.Context, up *UnionPlan) (map[ID]
 	return d.co.ExactUnion(ctx, up.Query, 0)
 }
 
-// RunUnionDist estimates a union over the fleet: each branch runs as its own
+// answerUnion estimates a union over the fleet: each branch runs as its own
 // distributed scatter-gather with an equal share of the walk and wall-clock
 // budget, and the finished branch results merge additively — estimates sum,
 // CIs in quadrature (wj.MergeUnion). That merge is sound only for additive
 // aggregates, so AVG and COUNT(DISTINCT) unions route to the worker-side
-// exact union instead (reported via the returned stats' ExactFallback).
-// xopts.OnSnapshot fires per branch run and therefore sees partial-union
-// snapshots; pass nil unless branch-level progress is wanted.
-func (d *DistDataset) RunUnionDist(ctx context.Context, up *UnionPlan, opts DistRunOptions, xopts DriveOptions) (EstimateResult, []DistRunStats, error) {
+// exact union instead. xopts.OnSnapshot fires per branch run and therefore
+// sees partial-union snapshots.
+func (d *DistDataset) answerUnion(ctx context.Context, up *UnionPlan, opts DistRunOptions, xopts DriveOptions) (EstimateResult, RunStats, error) {
 	q := up.Query
 	if q.Agg() == query.AggAvg || q.Distinct() {
-		counts, err := d.co.ExactUnion(ctx, q, xopts.Budget)
-		if err != nil {
-			return EstimateResult{}, nil, err
-		}
-		st := DistRunStats{}
-		st.ExactFallback = true
-		return EstimateResult{Estimates: counts, CI: map[ID]float64{}}, []DistRunStats{st}, nil
+		return exactResult(d.co.ExactUnion(ctx, q, xopts.Budget))
 	}
 	n := len(up.Plans)
 	bopts := xopts
@@ -232,21 +207,18 @@ func (d *DistDataset) RunUnionDist(ctx context.Context, up *UnionPlan, opts Dist
 		bopts.Budget = xopts.Budget / time.Duration(n)
 	}
 	results := make([]wj.Result, 0, n)
-	stats := make([]DistRunStats, 0, n)
+	var st RunStats
 	for i, pl := range up.Plans {
 		ropts := opts
-		if opts.Estimator == "" {
-			ropts.Estimator = d.estimator
-		}
 		ropts.Seed = opts.Seed + int64(i)*1_000_003
-		res, st, err := d.co.Run(ctx, pl.Query, ropts, bopts)
+		res, bst, err := d.co.Run(ctx, pl.Query, ropts, bopts)
 		if err != nil {
-			return EstimateResult{}, stats, err
+			return EstimateResult{}, st, err
 		}
 		results = append(results, res)
-		stats = append(stats, st)
+		st.Tips.Merge(bst.Tips)
 	}
-	return wj.MergeUnion(results, 0), stats, nil
+	return wj.MergeUnion(results, 0), st, nil
 }
 
 // ExactCtx evaluates the plan exactly on one worker (replicate workers hold
@@ -256,18 +228,43 @@ func (d *DistDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64, e
 	return d.co.Exact(ctx, pl.Query, 0)
 }
 
-// Health polls every worker's stats in parallel. A worker previously marked
-// down that answers rejoins the coordinator's live pool.
-func (d *DistDataset) Health(ctx context.Context) []DistWorkerHealth {
-	return d.co.Health(ctx)
+// Health polls every worker's stats in parallel (a worker previously marked
+// down that answers rejoins the coordinator's live pool) and reports the
+// fleet-lifetime retry and run counts.
+func (d *DistDataset) Health(ctx context.Context) BackendHealth {
+	return BackendHealth{Workers: d.co.Health(ctx), DistRetries: d.co.Retries(), DistRuns: d.co.TotalRuns()}
 }
 
-// Retries returns the fleet-lifetime count of stratum re-allocations after
-// worker loss.
-func (d *DistDataset) Retries() int64 { return d.co.Retries() }
-
-// TotalRuns returns the fleet-lifetime distributed run count.
-func (d *DistDataset) TotalRuns() int64 { return d.co.TotalRuns() }
+// Answer evaluates the target over the fleet: exactly on one worker, or
+// online by coordinator-driven scatter-gather with shard.RunScatter's
+// contract — xopts.MaxWalks is the total walk budget split across strata
+// proportionally to root cardinality, progressive snapshots merge all
+// strata, final CIs merge with stratified variance, and a lost worker's
+// stratum re-runs on a survivor (see DistRunStats.Reallocations). Union
+// branches run one after another (answerUnion); AVG and COUNT(DISTINCT)
+// unions are answered by the worker-side exact union.
+func (d *DistDataset) Answer(ctx context.Context, t Target, spec AnswerSpec, xopts DriveOptions) (EstimateResult, RunStats, error) {
+	opts := DistRunOptions{Threshold: spec.Threshold, Seed: spec.Seed, Stratify: spec.Stratify, Estimator: d.estimator}
+	if t.Union != nil {
+		up, err := query.CompileUnion(t.Union)
+		if err != nil {
+			return EstimateResult{}, RunStats{}, err
+		}
+		if spec.Exact {
+			return exactResult(d.ExactUnionCtx(ctx, up))
+		}
+		return d.answerUnion(ctx, up, opts, xopts)
+	}
+	if spec.Exact {
+		return exactResult(d.ExactCtx(ctx, t.Plan))
+	}
+	res, dst, err := d.co.Run(ctx, t.Plan.Query, opts, xopts)
+	st := RunStats{Tips: dst.Tips, Dist: &dst}
+	if spec.Stratify {
+		st.Strat = &StratifiedRunStats{Strata: dst.Strata}
+	}
+	return res, st, err
+}
 
 // SwapAll hot-swaps the whole fleet to a new manifest with epoch
 // coordination — every worker prepares the new set, the swap aborts

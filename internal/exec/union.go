@@ -13,11 +13,14 @@ type AccStepper interface {
 	Acc() *wj.Acc
 }
 
-// Union estimates a UNION query by stratified sampling: each branch is one
-// stratum sampled by its own runner, the union estimate is the sum of the
+// Union estimates a UNION query by stratified sampling: each branch is
+// sampled by its own stepper, the union estimate is the sum of the
 // per-branch estimates, and the confidence intervals merge in quadrature
 // (wj.MergeStratified) — branches are independent sub-populations exactly
-// like the shards of a partitioned store.
+// like the shards of a partitioned store. A branch may itself be stratified
+// (a scatter over shards): its strata then enter the merge individually, so
+// the strata of the union design are the cross product of branches and
+// their strata and AVG unions merge at the accumulator level too.
 //
 // Step interleaves the branches deterministically in proportion to their
 // weights (pass the branches' estimated root cardinalities, or nil for equal
@@ -26,19 +29,33 @@ type AccStepper interface {
 // is large, which for near-uniform per-walk variance is close to the Neyman
 // optimum, and determinism keeps runs reproducible under a fixed seed.
 //
-// Union is an AccStepper-free Stepper: its per-branch accumulators belong to
-// the branch runners. It is not safe for concurrent use.
+// Union's accumulators belong to the branch steppers. It is not safe for
+// concurrent use.
 type Union struct {
-	branches []AccStepper
+	branches []Stepper
+	strata   [][]*wj.Acc
 	weights  []float64
 	wsum     float64
 }
 
-// NewUnion builds the union stepper. weights must be nil (equal shares) or
-// len(branches) long; non-positive weights are lifted to the smallest
-// positive one so every branch keeps getting sampled (a stratum starved of
-// walks would silently contribute a zero estimate).
+// NewUnion builds the union stepper with one stratum per branch. weights
+// must be nil (equal shares) or len(branches) long; non-positive weights are
+// lifted to the smallest positive one so every branch keeps getting sampled
+// (a stratum starved of walks would silently contribute a zero estimate).
 func NewUnion(branches []AccStepper, weights []float64) *Union {
+	steps := make([]Stepper, len(branches))
+	strata := make([][]*wj.Acc, len(branches))
+	for i, br := range branches {
+		steps[i], strata[i] = br, []*wj.Acc{br.Acc()}
+	}
+	return NewStrataUnion(steps, strata, weights)
+}
+
+// NewStrataUnion is NewUnion over stratified branches: strata[i] lists the
+// accumulators branch i's estimate merges (they must stay the same objects
+// for the stepper's lifetime), and Snapshot merges every branch's strata in
+// branch order.
+func NewStrataUnion(branches []Stepper, strata [][]*wj.Acc, weights []float64) *Union {
 	w := make([]float64, len(branches))
 	minPos := 0.0
 	for i := range w {
@@ -59,7 +76,7 @@ func NewUnion(branches []AccStepper, weights []float64) *Union {
 		}
 		wsum += w[i]
 	}
-	return &Union{branches: branches, weights: w, wsum: wsum}
+	return &Union{branches: branches, strata: strata, weights: w, wsum: wsum}
 }
 
 // Step performs one walk on the branch with the largest weighted deficit:
@@ -87,11 +104,11 @@ func (u *Union) Walks() int64 {
 	return n
 }
 
-// Snapshot merges the branch accumulators as strata.
+// Snapshot merges every branch's strata accumulators.
 func (u *Union) Snapshot() wj.Result {
-	accs := make([]*wj.Acc, len(u.branches))
-	for i, br := range u.branches {
-		accs[i] = br.Acc()
+	var accs []*wj.Acc
+	for _, st := range u.strata {
+		accs = append(accs, st...)
 	}
 	return wj.MergeStratified(accs, stats.Z95)
 }

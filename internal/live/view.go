@@ -94,7 +94,7 @@ func (v *View) IndexBytes() int64 {
 // Triples streams the live triple set: the base in SPO order with
 // tombstones skipped, then the delta adds. This is the compaction feed
 // (snap.BuildExternal sorts and deduplicates downstream, so emission order
-// does not matter) and the materialization path of the dynamic shim.
+// does not matter) and the materialization path of CompactInMemory.
 func (v *View) Triples(emit func(rdf.Triple) error) error {
 	full := v.base.FullSpan(index.SPO)
 	for i := 0; i < full.Len(); i++ {

@@ -12,7 +12,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -49,68 +48,19 @@ type Provenance struct {
 	LoadMillis int64 `json:"loadMillis"`
 }
 
-// backend is what the handlers need from a served store, satisfied by
-// *kgexplore.Dataset, *kgexplore.ShardedDataset, *kgexplore.DistDataset and
-// *kgexplore.LiveDataset. Engine dispatch (which differs between them)
-// lives in evaluate/streamChart, not here.
-type backend interface {
-	NumTriples() int
-	IndexBytes() int64
-	Dict() *kgexplore.Dict
-	Root() *kgexplore.ExploreState
-	ParseQuery(string) (*kgexplore.ParsedQuery, error)
-	Compile(*kgexplore.Query) (*kgexplore.Plan, error)
-	BarsOf(map[kgexplore.ID]float64, map[kgexplore.ID]float64) []kgexplore.Bar
-	EstimatorName() string
-}
-
 // epoch is one served dataset generation. Requests acquire the current epoch
 // for their whole run, so a hot swap never frees a store out from under an
 // in-flight query: the old epoch's closer (an mmap'ed snapshot, typically)
 // runs only when the server reference and every request reference are gone.
-// Exactly one of ds/sds/dds/lds is non-nil; be always is.
 type epoch struct {
-	be     backend
-	ds     *kgexplore.Dataset        // monolithic store, nil otherwise
-	sds    *kgexplore.ShardedDataset // in-process shard set, nil otherwise
-	dds    *kgexplore.DistDataset    // distributed worker fleet, nil otherwise
-	lds    *kgexplore.LiveDataset    // live overlay store, nil otherwise
+	be     kgexplore.Backend
 	prov   Provenance
 	closer io.Closer
 	refs   atomic.Int64 // starts at 1 for the server's own reference
 }
 
-func newEpoch(ds *kgexplore.Dataset, prov Provenance, closer io.Closer) *epoch {
-	e := &epoch{be: ds, ds: ds, prov: prov, closer: closer}
-	e.refs.Store(1)
-	return e
-}
-
-func newShardedEpoch(sds *kgexplore.ShardedDataset, prov Provenance) *epoch {
-	// The shard set owns its snapshot mappings; closing it is the epoch
-	// drain action.
-	e := &epoch{be: sds, sds: sds, prov: prov, closer: sds}
-	e.refs.Store(1)
-	return e
-}
-
-// newLiveEpoch wraps a live dataset generation. The base store's resources
-// are owned by the live store itself (closed via LiveDataset.Close at
-// process exit); a live epoch's closer is instead the RETIRED base of the
-// compaction that rotated it out — set by RotateLiveEpoch just before the
-// swap, so the old mmap unmaps only after every request that might hold a
-// pre-compaction view has drained.
-func newLiveEpoch(lds *kgexplore.LiveDataset, prov Provenance) *epoch {
-	e := &epoch{be: lds, lds: lds, prov: prov}
-	e.refs.Store(1)
-	return e
-}
-
-func newDistEpoch(dds *kgexplore.DistDataset, prov Provenance) *epoch {
-	// Closing the dist dataset releases only the LOCAL dictionary mapping;
-	// the workers own their stores, and the shared coordinator survives
-	// swaps (the successor epoch holds it).
-	e := &epoch{be: dds, dds: dds, prov: prov, closer: dds}
+func newEpoch(be kgexplore.Backend, prov Provenance, closer io.Closer) *epoch {
+	e := &epoch{be: be, prov: prov, closer: closer}
 	e.refs.Store(1)
 	return e
 }
@@ -159,14 +109,6 @@ type Server struct {
 	// Off by default: swapping the served store is an operator action
 	// (kgserver -admin).
 	EnableAdmin bool
-	// RebuildsFn, when set, reports dynamic-store rebuild counts in
-	// /healthz (wired to dynamic.Store.Rebuilds by the embedding process).
-	RebuildsFn func() int
-	// PersistErrFn, when set, reports the embedding process's last
-	// persistence error in /healthz's lastError (wired to
-	// dynamic.Store.PersistErr). Live epochs report their own WAL and
-	// compaction errors there without this hook.
-	PersistErrFn func() error
 	// Estimator, when set, is applied (Dataset.UseEstimator) to every
 	// dataset installed by an admin swap, so a server started with
 	// -estimator keeps its selection across hot swaps. The initial dataset's
@@ -215,35 +157,41 @@ func New(ds *kgexplore.Dataset) *Server {
 // store provenance. closer, if non-nil, is closed when the dataset's epoch
 // fully drains after a Swap (never while any request still uses it).
 func NewWithProvenance(ds *kgexplore.Dataset, prov Provenance, closer io.Closer) *Server {
-	return newServer(newEpoch(ds, prov, closer))
+	return NewBackend(ds, prov, closer)
 }
 
 // NewSharded creates a server over a sharded dataset; chart requests then
-// run scatter-gather Audit Join instead of the monolithic engines.
+// run scatter-gather Audit Join instead of the monolithic engines. The shard
+// set owns its snapshot mappings; closing it is the epoch drain action.
 func NewSharded(sds *kgexplore.ShardedDataset, prov Provenance) *Server {
-	return newServer(newShardedEpoch(sds, prov))
+	return NewBackend(sds, prov, sds)
 }
 
 // NewLive creates a server over a live (updatable) dataset: POST /ingest
 // accepts triple batches, chart requests run merged-view Audit Join over
 // the overlay, and /healthz reports overlay, compaction and WAL telemetry.
 // Background compaction is the embedding process's job (kgserver -live);
-// after each compaction it calls RotateLiveEpoch with the retired base.
+// after each compaction it calls RotateLiveEpoch with the retired base,
+// which becomes the drained epoch's closer. The live store's own base is
+// closed by LiveDataset.Close at process exit.
 func NewLive(lds *kgexplore.LiveDataset, prov Provenance) *Server {
-	return newServer(newLiveEpoch(lds, prov))
+	return NewBackend(lds, prov, nil)
 }
 
 // NewDist creates a server over a distributed dataset: chart requests run
 // coordinator-driven scatter-gather over the kgworker fleet, /healthz
 // reports per-worker stats, and /admin/swap (with EnableAdmin) performs the
-// epoch-coordinated fleet-wide hot swap.
+// epoch-coordinated fleet-wide hot swap. Closing the dist dataset releases
+// only the LOCAL dictionary mapping; the workers own their stores.
 func NewDist(dds *kgexplore.DistDataset, prov Provenance) *Server {
-	return newServer(newDistEpoch(dds, prov))
+	return NewBackend(dds, prov, dds)
 }
 
-func newServer(e *epoch) *Server {
+// NewBackend creates a server over any backend. closer, if non-nil, is
+// closed once the backend's epoch fully drains after a Swap.
+func NewBackend(be kgexplore.Backend, prov Provenance, closer io.Closer) *Server {
 	return &Server{
-		cur:           e,
+		cur:           newEpoch(be, prov, closer),
 		sessions:      make(map[string]*session),
 		planCaches:    make(map[string]*planCache),
 		MaxBudget:     5 * time.Second,
@@ -264,36 +212,16 @@ func (s *Server) acquire() *epoch {
 	return e
 }
 
-// Swap atomically replaces the served dataset: new requests see the new
-// epoch immediately; sessions and warm-start caches are dropped (their
-// exploration states and cache keys embed the old dictionary's IDs); the old
-// store stays alive until the last in-flight request releases it, at which
-// point its closer (if any) runs. Safe to call concurrently with request
-// traffic — that is its purpose.
-func (s *Server) Swap(ds *kgexplore.Dataset, prov Provenance, closer io.Closer) {
-	s.swapEpoch(newEpoch(ds, prov, closer))
-}
-
-// SwapSharded hot-swaps the served store for a shard set, with the same
-// epoch semantics as Swap: the old store (sharded or not) drains before its
-// closer runs, and the new one serves immediately. A server can swap freely
-// between monolithic and sharded epochs.
-func (s *Server) SwapSharded(sds *kgexplore.ShardedDataset, prov Provenance) {
-	s.swapEpoch(newShardedEpoch(sds, prov))
-}
-
-// SwapDist hot-swaps the served store for a distributed dataset, with the
-// same epoch semantics as Swap. A distributed admin swap uses this after
-// DistDataset.SwapAll has re-pointed the fleet: the new epoch shares the
-// coordinator, and draining the old one closes only its local dictionary.
-func (s *Server) SwapDist(dds *kgexplore.DistDataset, prov Provenance) {
-	s.swapEpoch(newDistEpoch(dds, prov))
-}
-
-func (s *Server) swapEpoch(ne *epoch) {
+// Swap atomically replaces the served dataset with any backend: new requests
+// see the new epoch immediately; sessions and warm-start caches are dropped
+// (their exploration states and cache keys embed the old dictionary's IDs);
+// the old store stays alive until the last in-flight request releases it,
+// at which point its closer (if any) runs. Safe to call concurrently with
+// request traffic — that is its purpose.
+func (s *Server) Swap(be kgexplore.Backend, prov Provenance, closer io.Closer) {
 	s.mu.Lock()
 	old := s.cur
-	s.cur = ne
+	s.cur = newEpoch(be, prov, closer)
 	s.sessions = make(map[string]*session)
 	s.planCaches = make(map[string]*planCache)
 	s.swaps++
@@ -311,15 +239,16 @@ func (s *Server) swapEpoch(ne *epoch) {
 func (s *Server) RotateLiveEpoch(retired io.Closer) {
 	s.mu.Lock()
 	old := s.cur
-	if old.lds == nil {
+	lds, ok := old.be.(*kgexplore.LiveDataset)
+	if !ok {
 		s.mu.Unlock()
 		if retired != nil {
 			retired.Close()
 		}
 		return
 	}
-	ne := newLiveEpoch(old.lds, old.prov)
-	ne.prov.Triples = old.lds.NumTriples()
+	ne := newEpoch(lds, old.prov, nil)
+	ne.prov.Triples = lds.NumTriples()
 	old.closer = retired
 	s.cur = ne
 	s.mu.Unlock()
@@ -487,18 +416,12 @@ type InfoResponse struct {
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	e := s.acquire()
 	defer e.release()
-	resp := InfoResponse{
+	writeJSON(w, http.StatusOK, InfoResponse{
 		Triples:    e.be.NumTriples(),
 		IndexBytes: e.be.IndexBytes(),
-	}
-	if e.sds != nil {
-		resp.Shards = e.sds.NumShards()
-	}
-	if e.dds != nil {
-		resp.Shards = e.dds.NumShards()
-		resp.Workers = len(e.dds.Workers())
-	}
-	writeJSON(w, http.StatusOK, resp)
+		Shards:     e.be.NumShards(),
+		Workers:    e.prov.Workers,
+	})
 }
 
 // HealthResponse is the /healthz payload: liveness plus store provenance,
@@ -509,16 +432,14 @@ type HealthResponse struct {
 	Store     Provenance `json:"store"`
 	Swaps     int        `json:"swaps"`
 	Shards    int        `json:"shards,omitempty"`
-	Rebuilds  int        `json:"rebuilds,omitempty"`
 	Sessions  int        `json:"sessions"`
 	Estimator string     `json:"estimator"`
 	// Live carries the overlay telemetry of a live epoch: view generation,
 	// layer sizes, applied batches, compaction and WAL counters.
 	Live *kgexplore.LiveStats `json:"live,omitempty"`
 	// LastError surfaces the most recent background persistence or
-	// compaction error (live epochs report WAL/compaction failures here;
-	// embedding processes can report dynamic-store persist errors through
-	// PersistErrFn) so operators see failures without polling.
+	// compaction error of a live epoch (WAL or compaction failures) so
+	// operators see failures without polling.
 	LastError string `json:"lastError,omitempty"`
 	// Strategy is the walk-allocation strategy every online run uses:
 	// "uniform" or "stratified".
@@ -542,46 +463,24 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	swaps, nsess, tips := s.swaps, len(s.sessions), s.tipDiag
 	s.mu.Unlock()
+	bh := e.be.Health(r.Context())
 	resp := HealthResponse{
-		Status:    "ok",
-		Store:     e.prov,
-		Swaps:     swaps,
-		Sessions:  nsess,
-		Estimator: e.be.EstimatorName(),
-		Strategy:  s.strategyName(),
-		Tips:      tipBody(tips),
+		Status:      "ok",
+		Store:       e.prov,
+		Swaps:       swaps,
+		Shards:      e.be.NumShards(),
+		Sessions:    nsess,
+		Estimator:   e.be.EstimatorName(),
+		Live:        bh.Live,
+		LastError:   bh.LastError,
+		Strategy:    s.strategyName(),
+		Tips:        tipBody(tips),
+		Workers:     bh.Workers,
+		DistRetries: bh.DistRetries,
+		DistRuns:    bh.DistRuns,
 	}
-	if e.sds != nil {
-		resp.Shards = e.sds.NumShards()
-	}
-	if e.dds != nil {
-		resp.Shards = e.dds.NumShards()
-		resp.Workers = e.dds.Health(r.Context())
-		resp.DistRetries = e.dds.Retries()
-		resp.DistRuns = e.dds.TotalRuns()
-		for _, wh := range resp.Workers {
-			if !wh.Up {
-				resp.Status = "degraded"
-				break
-			}
-		}
-	}
-	if e.lds != nil {
-		st := e.lds.Stats()
-		resp.Live = &st
-		resp.LastError = st.LastErr
-		if st.LastErr != "" {
-			resp.Status = "degraded"
-		}
-	}
-	if s.RebuildsFn != nil {
-		resp.Rebuilds = s.RebuildsFn()
-	}
-	if s.PersistErrFn != nil {
-		if err := s.PersistErrFn(); err != nil {
-			resp.LastError = err.Error()
-			resp.Status = "degraded"
-		}
+	if bh.Degraded() {
+		resp.Status = "degraded"
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -607,7 +506,8 @@ type IngestResponse struct {
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	e := s.acquire()
 	defer e.release()
-	if e.lds == nil {
+	lds, ok := e.be.(*kgexplore.LiveDataset)
+	if !ok {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("not serving a live store; start kgserver with -live"))
 		return
 	}
@@ -616,7 +516,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	n, err := e.lds.IngestNTriples(req.Add, req.Delete)
+	n, err := lds.IngestNTriples(req.Add, req.Delete)
 	if err != nil {
 		// Parse errors are the client's fault; apply (WAL) errors are ours.
 		code := http.StatusBadRequest
@@ -626,7 +526,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, code, err)
 		return
 	}
-	st := e.lds.Stats()
+	st := lds.Stats()
 	writeJSON(w, http.StatusOK, IngestResponse{Applied: n, Triples: st.LiveTriples, Gen: st.Gen})
 }
 
@@ -687,82 +587,69 @@ func (s *Server) handleAdminSwap(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("missing path"))
 		return
 	}
+	mmap := req.Mode != "copy"
+	useEstimator := func(use func(string) error) error {
+		if s.Estimator == "" {
+			return nil
+		}
+		return use(s.Estimator)
+	}
+	var (
+		be     kgexplore.Backend
+		prov   Provenance
+		closer io.Closer
+		err    error
+	)
 	e := s.acquire()
-	if e.lds != nil {
+	switch cur := e.be.(type) {
+	case *kgexplore.LiveDataset:
 		// A live epoch owns an overlay, WAL and compaction lifecycle that a
 		// path swap cannot carry over; restart the server to change bases.
-		e.release()
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("live epochs do not hot-swap; restart kgserver -live with the new base"))
-		return
-	}
-	if e.dds != nil {
+		err = fmt.Errorf("live epochs do not hot-swap; restart kgserver -live with the new base")
+	case *kgexplore.DistDataset:
 		// A distributed epoch swaps the FLEET, not the local process: every
 		// worker prepares the new manifest, the swap aborts all-or-nothing
 		// on any failure, then all commit and drain. The new local epoch
 		// shares the coordinator; draining the old one closes only its
 		// local dictionary mapping.
-		defer e.release()
 		if !strings.HasSuffix(req.Path, ".kgm") {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("distributed epochs swap whole shard sets: path must be a .kgm manifest"))
-			return
+			err = fmt.Errorf("distributed epochs swap whole shard sets: path must be a .kgm manifest")
+			break
 		}
-		ndds, err := e.dds.SwapAll(r.Context(), req.Path, req.Mode != "copy")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if s.Estimator != "" {
-			if err := ndds.UseEstimator(s.Estimator); err != nil {
-				ndds.Close()
-				writeErr(w, http.StatusBadRequest, err)
-				return
+		var dds *kgexplore.DistDataset
+		if dds, err = cur.SwapAll(r.Context(), req.Path, mmap); err == nil {
+			be, closer, err = dds, dds, useEstimator(dds.UseEstimator)
+			prov = Provenance{
+				Source:  req.Path,
+				Kind:    "distributed",
+				Mmap:    mmap,
+				Triples: dds.NumTriples(),
+				Shards:  dds.NumShards(),
+				Workers: len(dds.Workers()),
 			}
 		}
-		prov := Provenance{
-			Source:  req.Path,
-			Kind:    "distributed",
-			Mmap:    req.Mode != "copy",
-			Triples: ndds.NumTriples(),
-			Shards:  ndds.NumShards(),
-			Workers: len(ndds.Workers()),
+	default:
+		if strings.HasSuffix(req.Path, ".kgm") {
+			var sds *kgexplore.ShardedDataset
+			if sds, prov, err = LoadShardedDataset(req.Path, mmap); err == nil {
+				be, closer, err = sds, sds, useEstimator(sds.UseEstimator)
+			}
+			break
 		}
-		s.SwapDist(ndds, prov)
-		writeJSON(w, http.StatusOK, SwapResponse{Store: prov, Swaps: s.Swaps()})
-		return
+		var ds *kgexplore.Dataset
+		if ds, prov, closer, err = LoadDataset(req.Path, mmap); err == nil {
+			be, err = ds, useEstimator(ds.UseEstimator)
+		}
 	}
 	e.release()
-	if strings.HasSuffix(req.Path, ".kgm") {
-		sds, prov, err := LoadShardedDataset(req.Path, req.Mode != "copy")
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if s.Estimator != "" {
-			if err := sds.UseEstimator(s.Estimator); err != nil {
-				sds.Close()
-				writeErr(w, http.StatusBadRequest, err)
-				return
-			}
-		}
-		s.SwapSharded(sds, prov)
-		writeJSON(w, http.StatusOK, SwapResponse{Store: prov, Swaps: s.Swaps()})
-		return
-	}
-	ds, prov, closer, err := LoadDataset(req.Path, req.Mode != "copy")
 	if err != nil {
+		if closer != nil {
+			closer.Close()
+		}
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.Estimator != "" {
-		if err := ds.UseEstimator(s.Estimator); err != nil {
-			if closer != nil {
-				closer.Close()
-			}
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-	}
-	s.Swap(ds, prov, closer)
+	s.Swap(be, prov, closer)
 	writeJSON(w, http.StatusOK, SwapResponse{Store: prov, Swaps: s.Swaps()})
 }
 
@@ -828,7 +715,7 @@ type StateResponse struct {
 	Ops      []string `json:"ops"`
 }
 
-func stateResponse(ds backend, id string, sess *session) StateResponse {
+func stateResponse(ds kgexplore.Backend, id string, sess *session) StateResponse {
 	var ops []string
 	for _, op := range kgexplore.ExpansionsOf(sess.state) {
 		ops = append(ops, op.String())
@@ -932,10 +819,11 @@ type ChartResponse struct {
 	Strat    *kgexplore.StratifiedRunStats `json:"strat,omitempty"`
 	// Dist reports a distributed run's telemetry: which worker delivered
 	// each stratum, re-allocations after worker loss, and wire traffic
-	// (non-stream responses of online engines over distributed epochs).
+	// (final responses of online engines over distributed epochs).
 	Dist *DistChartBody `json:"dist,omitempty"`
 	// Live identifies the overlay state a live epoch's chart was computed
-	// over: the view generation and layer sizes at response time.
+	// over: the view generation and layer sizes when the run ended (final
+	// responses only).
 	Live *LiveChartBody `json:"live,omitempty"`
 }
 
@@ -1005,27 +893,6 @@ func cacheBody(cs kgexplore.CTJCacheStats) CacheStatsBody {
 	}
 }
 
-// cacheStatsOf extracts the cache payload from a finished (or quiescent)
-// online runner; nil for engines without CTJ caches.
-func cacheStatsOf(r kgexplore.Stepper) *ChartCacheStats {
-	var cs kgexplore.CTJCacheStats
-	var shared *kgexplore.SharedCTJCache
-	switch v := r.(type) {
-	case *kgexplore.AuditJoin:
-		cs, shared = v.CacheStats(), v.SharedCache()
-	case *kgexplore.StratifiedAuditJoin:
-		cs, shared = v.CacheStats(), v.SharedCache()
-	default:
-		return nil
-	}
-	out := &ChartCacheStats{Run: cacheBody(cs)}
-	if shared != nil {
-		b := cacheBody(shared.Stats())
-		out.Shared = &b
-	}
-	return out
-}
-
 func parseOp(name string) (kgexplore.ExploreOp, error) {
 	switch name {
 	case "subclass":
@@ -1070,24 +937,49 @@ func (s *Server) handleChart(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if r.URL.Query().Get("stream") == "1" {
-		s.streamChart(w, r, e, req.Op, pl, req)
-		return
-	}
-	start := time.Now()
-	counts, ci, extras, err := s.evaluate(r.Context(), e, pl, req.Engine, req.BudgetMS)
+	spec, err := s.parseEngine(req.Engine)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := chartResponse(e, req.Op, engineName(req.Engine), counts, ci, req.TopN)
-	resp.Millis = time.Since(start).Milliseconds()
-	resp.Strategy = s.strategyName()
-	resp.Cache = extras.cache
-	resp.Tips = extras.tips
-	resp.Dist = extras.dist
-	resp.Strat = extras.strat
-	writeJSON(w, http.StatusOK, resp)
+	t := kgexplore.Target{Plan: pl}
+	if r.URL.Query().Get("stream") == "1" {
+		if spec.Exact {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("engine %q does not stream; use aj or wj", req.Engine))
+			return
+		}
+		s.streamChart(w, r, e, t, spec, req)
+		return
+	}
+	s.answer(w, r, e, req.Op, req.Engine, t, spec, req.BudgetMS, req.TopN)
+}
+
+// parseEngine maps an engine name onto an Answer spec: ctj, lftj and
+// baseline answer exactly; aj (the default) runs Audit Join at the default
+// tipping threshold and wj never tips. Online runs use the server's
+// sampling strategy, a fresh seed and the warm-start caches of their plan.
+func (s *Server) parseEngine(name string) (kgexplore.AnswerSpec, error) {
+	spec := kgexplore.AnswerSpec{
+		Threshold:   kgexplore.DefaultTippingThreshold,
+		Seed:        time.Now().UnixNano(),
+		Stratify:    s.stratified(),
+		SharedCache: s.sharedCacheFor,
+		ShardCaches: s.shardCachesFor,
+	}
+	switch name {
+	case "aj", "":
+	case "wj":
+		spec.Threshold = -1
+	case "ctj":
+		spec.Exact, spec.Engine = true, kgexplore.EngineCTJ
+	case "lftj":
+		spec.Exact, spec.Engine = true, kgexplore.EngineLFTJ
+	case "baseline":
+		spec.Exact, spec.Engine = true, kgexplore.EngineBaseline
+	default:
+		return spec, fmt.Errorf("unknown engine %q", name)
+	}
+	return spec, nil
 }
 
 func engineName(e string) string {
@@ -1097,20 +989,49 @@ func engineName(e string) string {
 	return e
 }
 
-// chartResponse renders per-group counts as sorted, truncated bars.
-func chartResponse(e *epoch, op, engine string, counts, ci map[kgexplore.ID]float64, topN int) ChartResponse {
-	resp := ChartResponse{Op: op, Engine: engine, Estimator: e.be.EstimatorName()}
-	if e.sds != nil {
-		resp.Shards = e.sds.NumShards()
+// answer runs one request to completion and writes its chart.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, e *epoch, op, engine string, t kgexplore.Target, spec kgexplore.AnswerSpec, budgetMS, topN int) {
+	start := time.Now()
+	res, st, err := e.be.Answer(r.Context(), t, spec, kgexplore.DriveOptions{Budget: s.clampBudget(budgetMS), Batch: 128})
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	}
-	if e.dds != nil {
-		resp.Shards = e.dds.NumShards()
+	s.observeTips(st.Tips)
+	resp := s.chartResponse(e, op, engineName(engine), res, &st, topN)
+	resp.Millis = time.Since(start).Milliseconds()
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// chartResponse renders a result as sorted, truncated bars, with the run's
+// telemetry when st is non-nil (it is nil on progress events of a stream).
+func (s *Server) chartResponse(e *epoch, op, engine string, res kgexplore.EstimateResult, st *kgexplore.RunStats, topN int) ChartResponse {
+	resp := ChartResponse{
+		Op:        op,
+		Engine:    engine,
+		Walks:     res.Walks,
+		Shards:    e.be.NumShards(),
+		Estimator: e.be.EstimatorName(),
+		Strategy:  s.strategyName(),
 	}
-	if e.lds != nil {
-		st := e.lds.Stats()
-		resp.Live = &LiveChartBody{Gen: st.Gen, DeltaAdds: st.DeltaAdds, Tombstones: st.Tombstones}
+	if st != nil {
+		if st.Cache != nil {
+			resp.Cache = &ChartCacheStats{Run: cacheBody(*st.Cache)}
+			if st.SharedCache != nil {
+				b := cacheBody(*st.SharedCache)
+				resp.Cache.Shared = &b
+			}
+		}
+		resp.Tips = tipBody(st.Tips)
+		resp.Strat = st.Strat
+		if st.Dist != nil {
+			resp.Dist = distBody(*st.Dist)
+		}
+		if st.Live != nil {
+			resp.Live = &LiveChartBody{Gen: st.Live.Gen, DeltaAdds: st.Live.DeltaAdds, Tombstones: st.Live.Tombstones}
+		}
 	}
-	bars := e.be.BarsOf(counts, ci)
+	bars := e.be.BarsOf(res.Estimates, res.CI)
 	resp.NumBars = len(bars)
 	if topN > 0 && len(bars) > topN {
 		bars = bars[:topN]
@@ -1137,41 +1058,6 @@ func (s *Server) clampBudget(budgetMS int) time.Duration {
 	return budget
 }
 
-// onlineRunner builds the estimator for an online engine name. aj runners
-// are attached to the warm-start cache of their plan signature, so repeated
-// expansions of overlapping queries reuse prior suffix counts and Pr(b)
-// sums.
-func (s *Server) onlineRunner(ds *kgexplore.Dataset, pl *kgexplore.Plan, engine string) (kgexplore.Stepper, bool) {
-	switch engine {
-	case "wj":
-		if s.stratified() {
-			// Stratified Wander Join: the same stratified stepper with
-			// tipping disabled, mirroring the sharded wj configuration.
-			return ds.NewStratifiedAuditJoin(pl, kgexplore.StratifiedAuditJoinOptions{
-				Options: kgexplore.AuditJoinOptions{Threshold: -1, Seed: time.Now().UnixNano()},
-			}), true
-		}
-		return ds.NewWanderJoin(pl, time.Now().UnixNano()), true
-	case "aj", "":
-		if s.stratified() {
-			return ds.NewStratifiedAuditJoin(pl, kgexplore.StratifiedAuditJoinOptions{
-				Options: kgexplore.AuditJoinOptions{
-					Threshold: kgexplore.DefaultTippingThreshold,
-					Seed:      time.Now().UnixNano(),
-					Shared:    s.sharedCacheFor(pl),
-				},
-			}), true
-		}
-		return ds.NewAuditJoin(pl, kgexplore.AuditJoinOptions{
-			Threshold: kgexplore.DefaultTippingThreshold,
-			Seed:      time.Now().UnixNano(),
-			Shared:    s.sharedCacheFor(pl),
-		}), true
-	default:
-		return nil, false
-	}
-}
-
 // stratified reports whether the server runs the stratified sampling
 // strategy; strategyName is the label surfaced in charts and /healthz.
 func (s *Server) stratified() bool { return s.Strategy == "stratified" }
@@ -1183,351 +1069,12 @@ func (s *Server) strategyName() string {
 	return s.Strategy
 }
 
-// chartExtras carries the engine-specific telemetry a chart response
-// attaches beside the bars: CTJ cache stats (monolithic aj), tipping
-// diagnostics (online engines) and distribution telemetry (dist epochs).
-type chartExtras struct {
-	cache *ChartCacheStats
-	tips  *TipDiagBody
-	dist  *DistChartBody
-	strat *kgexplore.StratifiedRunStats
-}
-
-func (s *Server) evaluate(ctx context.Context, e *epoch, pl *kgexplore.Plan, engine string, budgetMS int) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, chartExtras, error) {
-	if e.sds != nil {
-		return s.evaluateSharded(ctx, e.sds, pl, engine, budgetMS)
-	}
-	if e.dds != nil {
-		return s.evaluateDist(ctx, e.dds, pl, engine, budgetMS)
-	}
-	if e.lds != nil {
-		return s.evaluateLive(ctx, e.lds, pl, engine, budgetMS)
-	}
-	ds := e.ds
-	switch engine {
-	case "ctj":
-		res, err := ds.ExactCtx(ctx, pl, kgexplore.EngineCTJ)
-		return res, nil, chartExtras{}, err
-	case "lftj":
-		res, err := ds.ExactCtx(ctx, pl, kgexplore.EngineLFTJ)
-		return res, nil, chartExtras{}, err
-	case "baseline":
-		res, err := ds.ExactCtx(ctx, pl, kgexplore.EngineBaseline)
-		return res, nil, chartExtras{}, err
-	}
-	r, ok := s.onlineRunner(ds, pl, engine)
-	if !ok {
-		return nil, nil, chartExtras{}, fmt.Errorf("unknown engine %q", engine)
-	}
-	rep, err := kgexplore.Drive(ctx, r, kgexplore.DriveOptions{Budget: s.clampBudget(budgetMS), Batch: 128})
-	if err != nil {
-		return nil, nil, chartExtras{}, err
-	}
-	return rep.Final.Estimates, rep.Final.CI,
-		chartExtras{cache: cacheStatsOf(r), tips: s.tipStatsOf(r), strat: stratStatsOf(r)}, nil
-}
-
-// stratStatsOf extracts the stratification telemetry from a stratified
-// runner; nil for uniform engines.
-func stratStatsOf(r kgexplore.Stepper) *kgexplore.StratifiedRunStats {
-	sr, ok := r.(*kgexplore.StratifiedAuditJoin)
-	if !ok {
-		return nil
-	}
-	st := sr.Stats()
-	return &st
-}
-
-// tipStatsOf extracts one quiescent runner's tipping diagnostics and folds
-// them into the /healthz totals.
-func (s *Server) tipStatsOf(r kgexplore.Stepper) *TipDiagBody {
-	var d kgexplore.TipDiagnostics
-	switch v := r.(type) {
-	case *kgexplore.AuditJoin:
-		d = v.TipDiag()
-	case *kgexplore.StratifiedAuditJoin:
-		d = v.TipDiag()
-	case *kgexplore.LiveWalker:
-		d = v.TipDiag()
-	default:
-		return nil
-	}
-	s.observeTips(d)
-	return tipBody(d)
-}
-
-// liveRunner builds the overlay walker for an online engine name: aj tips
-// at the default threshold, wj never tips. The walker captures the CURRENT
-// view, so the whole run is snapshot-consistent under concurrent ingest.
-// COUNT(DISTINCT) plans are not built here — evaluateLive routes them to
-// the exact merged-view path first.
-func liveRunner(lds *kgexplore.LiveDataset, pl *kgexplore.Plan, engine string) (*kgexplore.LiveWalker, error, bool) {
-	opts := kgexplore.LiveWalkerOptions{Seed: time.Now().UnixNano()}
-	switch engine {
-	case "aj", "":
-		opts.Threshold = kgexplore.DefaultTippingThreshold
-	case "wj":
-		opts.Threshold = -1
-	default:
-		return nil, nil, false
-	}
-	w, err := lds.NewLiveWalker(pl, opts)
-	return w, err, true
-}
-
-// evaluateLive answers a chart request over a live epoch: exact engines —
-// and every DISTINCT plan, per the no-silent-bias policy — enumerate the
-// merged view with tombstones filtered; online engines run merged-view
-// Audit Join whose root weights come from the combined base+delta spans.
-func (s *Server) evaluateLive(ctx context.Context, lds *kgexplore.LiveDataset, pl *kgexplore.Plan, engine string, budgetMS int) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, chartExtras, error) {
-	switch engine {
-	case "ctj", "lftj", "baseline":
-		res, err := lds.ExactCtx(ctx, pl)
-		return res, nil, chartExtras{}, err
-	}
-	if pl.Query.Distinct {
-		res, err := lds.ExactCtx(ctx, pl)
-		return res, nil, chartExtras{}, err
-	}
-	r, err, ok := liveRunner(lds, pl, engine)
-	if !ok {
-		return nil, nil, chartExtras{}, fmt.Errorf("unknown engine %q", engine)
-	}
-	if err != nil {
-		return nil, nil, chartExtras{}, err
-	}
-	rep, err := kgexplore.Drive(ctx, r, kgexplore.DriveOptions{Budget: s.clampBudget(budgetMS), Batch: 128})
-	if err != nil {
-		return nil, nil, chartExtras{}, err
-	}
-	return rep.Final.Estimates, rep.Final.CI, chartExtras{tips: s.tipStatsOf(r)}, nil
-}
-
-// scatterOptions maps an online engine name onto scatter-gather settings:
-// aj tips at the default threshold; wj never tips (pure random walks, the
-// Wander Join analog). Both share the plan's warm per-shard caches.
-func (s *Server) scatterOptions(sds *kgexplore.ShardedDataset, pl *kgexplore.Plan, engine string) (kgexplore.ShardScatterOptions, bool) {
-	opts := kgexplore.ShardScatterOptions{
-		Seed:     time.Now().UnixNano(),
-		Caches:   s.shardCachesFor(pl, sds.NumShards()),
-		Stratify: s.stratified(),
-	}
-	switch engine {
-	case "aj", "":
-		opts.Threshold = kgexplore.DefaultTippingThreshold
-	case "wj":
-		opts.Threshold = -1
-	default:
-		return opts, false
-	}
-	return opts, true
-}
-
-// evaluateSharded answers a chart request over a sharded epoch: exact
-// engines run the resolver-backed enumeration over all shards; online
-// engines run scatter-gather Audit Join with stratified merging.
-func (s *Server) evaluateSharded(ctx context.Context, sds *kgexplore.ShardedDataset, pl *kgexplore.Plan, engine string, budgetMS int) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, chartExtras, error) {
-	switch engine {
-	case "ctj", "lftj", "baseline":
-		res, err := sds.ExactCtx(ctx, pl)
-		return res, nil, chartExtras{}, err
-	}
-	opts, ok := s.scatterOptions(sds, pl, engine)
-	if !ok {
-		return nil, nil, chartExtras{}, fmt.Errorf("unknown engine %q", engine)
-	}
-	res, stats, err := sds.RunScatter(ctx, pl, opts, kgexplore.DriveOptions{Budget: s.clampBudget(budgetMS), Batch: 128})
-	if err != nil {
-		return nil, nil, chartExtras{}, err
-	}
-	s.observeTips(stats.Tips)
-	extras := chartExtras{tips: tipBody(stats.Tips)}
-	if s.stratified() {
-		extras.strat = &kgexplore.StratifiedRunStats{Strata: stats.Strata}
-	}
-	return res.Estimates, res.CI, extras, nil
-}
-
-// distOptions maps an online engine name onto distributed run settings,
-// mirroring scatterOptions: aj tips at the default threshold, wj never
-// tips. Worker-side suffix caches warm up per worker process, so there is
-// no coordinator-side cache to thread through.
-func (s *Server) distOptions(dds *kgexplore.DistDataset, engine string) (kgexplore.DistRunOptions, bool) {
-	opts := kgexplore.DistRunOptions{Seed: time.Now().UnixNano(), Stratify: s.stratified()}
-	switch engine {
-	case "aj", "":
-		opts.Threshold = kgexplore.DefaultTippingThreshold
-	case "wj":
-		opts.Threshold = -1
-	default:
-		return opts, false
-	}
-	return opts, true
-}
-
-// evaluateDist answers a chart request over a distributed epoch: exact
-// engines run on one worker (they hold the full set or reach peers through
-// their hybrid resolver); online engines run coordinator-driven
-// scatter-gather with stratified merging and worker-loss re-allocation.
-func (s *Server) evaluateDist(ctx context.Context, dds *kgexplore.DistDataset, pl *kgexplore.Plan, engine string, budgetMS int) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, chartExtras, error) {
-	switch engine {
-	case "ctj", "lftj", "baseline":
-		res, err := dds.ExactCtx(ctx, pl)
-		return res, nil, chartExtras{}, err
-	}
-	opts, ok := s.distOptions(dds, engine)
-	if !ok {
-		return nil, nil, chartExtras{}, fmt.Errorf("unknown engine %q", engine)
-	}
-	res, stats, err := dds.RunDist(ctx, pl, opts, kgexplore.DriveOptions{Budget: s.clampBudget(budgetMS), Batch: 128})
-	if err != nil {
-		return nil, nil, chartExtras{}, err
-	}
-	s.observeTips(stats.Tips)
-	extras := chartExtras{tips: tipBody(stats.Tips), dist: distBody(stats)}
-	if s.stratified() {
-		extras.strat = &kgexplore.StratifiedRunStats{Strata: stats.Strata}
-	}
-	return res.Estimates, res.CI, extras, nil
-}
-
-// evaluateUnion answers a SPARQL UNION query over any epoch kind. Exact
-// engine names run the cross-branch exact union; online names run the
-// backend's stratified union estimator. DISTINCT unions always take the
-// exact path — per-branch walks cannot observe cross-branch duplicates
-// (query.ErrDistinctUnion policy) — as do AVG unions on distributed epochs,
-// whose per-branch results cannot merge at the result level.
-func (s *Server) evaluateUnion(ctx context.Context, e *epoch, u *kgexplore.UnionQuery, engine string, budgetMS int) (map[kgexplore.ID]float64, map[kgexplore.ID]float64, chartExtras, error) {
-	exact := engine == "ctj" || engine == "lftj" || engine == "baseline"
-	online := engine == "aj" || engine == "wj" || engine == ""
-	if !exact && !online {
-		return nil, nil, chartExtras{}, fmt.Errorf("unknown engine %q", engine)
-	}
-	threshold := float64(kgexplore.DefaultTippingThreshold)
-	if engine == "wj" {
-		threshold = -1
-	}
-	xopts := kgexplore.DriveOptions{Budget: s.clampBudget(budgetMS), Batch: 128}
-	switch {
-	case e.sds != nil:
-		up, err := e.sds.CompileUnion(u)
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		if exact || u.Distinct() {
-			res, err := e.sds.ExactUnionCtx(ctx, up)
-			return res, nil, chartExtras{}, err
-		}
-		opts := kgexplore.ShardScatterOptions{
-			Seed: time.Now().UnixNano(), Threshold: threshold, Stratify: s.stratified(),
-		}
-		res, err := e.sds.RunUnionScatter(ctx, up, opts, xopts)
-		return res.Estimates, res.CI, chartExtras{}, err
-	case e.dds != nil:
-		up, err := e.dds.CompileUnion(u)
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		if exact {
-			res, err := e.dds.ExactUnionCtx(ctx, up)
-			return res, nil, chartExtras{}, err
-		}
-		opts, _ := s.distOptions(e.dds, engine)
-		res, _, err := e.dds.RunUnionDist(ctx, up, opts, xopts)
-		return res.Estimates, res.CI, chartExtras{}, err
-	case e.lds != nil:
-		up, err := e.lds.CompileUnion(u)
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		if exact || u.Distinct() {
-			res, err := e.lds.ExactUnionCtx(ctx, up)
-			return res, nil, chartExtras{}, err
-		}
-		est, err := e.lds.NewUnionEstimator(up, kgexplore.LiveWalkerOptions{
-			Seed: time.Now().UnixNano(), Threshold: threshold,
-		})
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		rep, err := kgexplore.Drive(ctx, est, xopts)
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		return rep.Final.Estimates, rep.Final.CI, chartExtras{}, nil
-	default:
-		ds := e.ds
-		up, err := ds.CompileUnion(u)
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		if exact || u.Distinct() {
-			eng := kgexplore.EngineCTJ
-			switch engine {
-			case "lftj":
-				eng = kgexplore.EngineLFTJ
-			case "baseline":
-				eng = kgexplore.EngineBaseline
-			}
-			res, err := ds.ExactUnionCtx(ctx, up, eng)
-			return res, nil, chartExtras{}, err
-		}
-		est, err := ds.NewUnionEstimator(up, time.Now().UnixNano())
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		rep, err := kgexplore.Drive(ctx, est, xopts)
-		if err != nil {
-			return nil, nil, chartExtras{}, err
-		}
-		return rep.Final.Estimates, rep.Final.CI, chartExtras{}, nil
-	}
-}
-
 // streamChart answers a `?stream=1` chart request with Server-Sent Events:
 // one ChartResponse per snapshot interval, each strictly further along than
-// the last, and a Final event when the budget elapses. Closing the
-// connection cancels the run through the request context.
-func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, op string, pl *kgexplore.Plan, req ChartRequest) {
-	engine := engineName(req.Engine)
-	var runner kgexplore.Stepper
-	var scatterOpts kgexplore.ShardScatterOptions
-	var distOpts kgexplore.DistRunOptions
-	switch {
-	case e.sds != nil:
-		var ok bool
-		scatterOpts, ok = s.scatterOptions(e.sds, pl, req.Engine)
-		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("engine %q does not stream; use aj or wj", engine))
-			return
-		}
-	case e.dds != nil:
-		var ok bool
-		distOpts, ok = s.distOptions(e.dds, req.Engine)
-		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("engine %q does not stream; use aj or wj", engine))
-			return
-		}
-	case e.lds != nil:
-		lw, err, ok := liveRunner(e.lds, pl, req.Engine)
-		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("engine %q does not stream; use aj or wj", engine))
-			return
-		}
-		if err != nil {
-			// ErrLiveDistinct: distinct runs exactly, which does not stream.
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		runner = lw
-	default:
-		var ok bool
-		runner, ok = s.onlineRunner(e.ds, pl, req.Engine)
-		if !ok {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("engine %q does not stream; use aj or wj", engine))
-			return
-		}
-	}
+// the last, and a Final event carrying the run's telemetry when the budget
+// elapses. Closing the connection cancels the run through the request
+// context.
+func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, t kgexplore.Target, spec kgexplore.AnswerSpec, req ChartRequest) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusInternalServerError, fmt.Errorf("streaming unsupported by this connection"))
@@ -1542,19 +1089,8 @@ func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, o
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	send := func(p kgexplore.DriveProgress) bool {
-		resp := chartResponse(e, op, engine, p.Snapshot.Estimates, p.Snapshot.CI, req.TopN)
-		resp.Millis = p.Elapsed.Milliseconds()
-		resp.Walks = p.Walks
-		resp.Final = p.Final
-		resp.Strategy = s.strategyName()
-		if p.Final && runner != nil {
-			// The callback runs on the driving goroutine between walks, so
-			// the runner is quiescent and its stats are consistent.
-			resp.Cache = cacheStatsOf(runner)
-			resp.Tips = s.tipStatsOf(runner)
-			resp.Strat = stratStatsOf(runner)
-		}
+	engine := engineName(req.Engine)
+	send := func(resp ChartResponse) bool {
 		data, err := json.Marshal(resp)
 		if err != nil {
 			return false
@@ -1565,30 +1101,34 @@ func (s *Server) streamChart(w http.ResponseWriter, r *http.Request, e *epoch, o
 		flusher.Flush()
 		return true
 	}
+	start := time.Now()
+	budget := s.clampBudget(req.BudgetMS)
 	xopts := kgexplore.DriveOptions{
-		Budget:     s.clampBudget(req.BudgetMS),
-		Interval:   interval,
-		Batch:      128,
-		OnSnapshot: send,
+		Budget:   budget,
+		Interval: interval,
+		Batch:    128,
+		OnSnapshot: func(p kgexplore.DriveProgress) bool {
+			// The final event is sent once Answer returns, with the run's
+			// telemetry. Progress within one interval of the deadline is
+			// skipped, so the final event always reports more walks.
+			if p.Final || budget-p.Elapsed < interval {
+				return true
+			}
+			resp := s.chartResponse(e, req.Op, engine, p.Snapshot, nil, req.TopN)
+			resp.Millis = p.Elapsed.Milliseconds()
+			resp.Walks = p.Walks
+			return send(resp)
+		},
 	}
-	if e.sds != nil {
-		// The final SSE event has already been sent from inside the scatter
-		// drive, so per-request tips can't ride on it; they still reach the
-		// process-wide /healthz totals.
-		if _, stats, err := e.sds.RunScatter(r.Context(), pl, scatterOpts, xopts); err == nil {
-			s.observeTips(stats.Tips)
-		}
+	res, st, err := e.be.Answer(r.Context(), t, spec, xopts)
+	if err != nil {
 		return
 	}
-	if e.dds != nil {
-		// Same trailing-stats caveat as the sharded drive: tips and retry
-		// telemetry reach /healthz, not the final SSE event.
-		if _, stats, err := e.dds.RunDist(r.Context(), pl, distOpts, xopts); err == nil {
-			s.observeTips(stats.Tips)
-		}
-		return
-	}
-	kgexplore.Drive(r.Context(), runner, xopts)
+	s.observeTips(st.Tips)
+	resp := s.chartResponse(e, req.Op, engine, res, &st, req.TopN)
+	resp.Millis = time.Since(start).Milliseconds()
+	resp.Final = true
+	send(resp)
 }
 
 // SelectRequest clicks a bar in an expansion chart.
@@ -1669,32 +1209,19 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	start := time.Now()
-	var counts, ci map[kgexplore.ID]float64
-	var extras chartExtras
-	if parsed.IsUnion() {
-		counts, ci, extras, err = s.evaluateUnion(r.Context(), e, parsed.Union(), req.Engine, req.BudgetMS)
-	} else {
-		var pl *kgexplore.Plan
-		pl, err = e.be.Compile(parsed.Query)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		counts, ci, extras, err = s.evaluate(r.Context(), e, pl, req.Engine, req.BudgetMS)
-	}
+	spec, err := s.parseEngine(req.Engine)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := chartResponse(e, "sparql", engineName(req.Engine), counts, ci, req.TopN)
-	resp.Millis = time.Since(start).Milliseconds()
-	resp.Strategy = s.strategyName()
-	resp.Cache = extras.cache
-	resp.Tips = extras.tips
-	resp.Dist = extras.dist
-	resp.Strat = extras.strat
-	writeJSON(w, http.StatusOK, resp)
+	var t kgexplore.Target
+	if parsed.IsUnion() {
+		t.Union = parsed.Union()
+	} else if t.Plan, err = e.be.Compile(parsed.Query); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	}
+	s.answer(w, r, e, "sparql", req.Engine, t, spec, req.BudgetMS, req.TopN)
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {

@@ -267,12 +267,59 @@ func (s *Scatter) Walks() int64 {
 }
 
 // Snapshot returns the stratified-merged estimate with combined CIs.
-func (s *Scatter) Snapshot() wj.Result {
+func (s *Scatter) Snapshot() wj.Result { return wj.MergeStratified(s.Accs(), stats.Z95) }
+
+// Accs returns the per-stratum accumulators Snapshot merges.
+func (s *Scatter) Accs() []*wj.Acc {
 	accs := make([]*wj.Acc, len(s.walkers))
 	for i, w := range s.walkers {
 		accs[i] = w.Acc()
 	}
-	return wj.MergeStratified(accs, stats.Z95)
+	return accs
+}
+
+// TipDiag merges every stratum walker's tipping diagnostics.
+func (s *Scatter) TipDiag() core.TipDiag {
+	var d core.TipDiag
+	for _, w := range s.walkers {
+		d.Merge(w.TipDiag())
+	}
+	return d
+}
+
+// NewUnionScatter estimates a UNION over the set: one Scatter per branch,
+// interleaved by exec.Union with walk shares proportional to the estimated
+// branch join sizes under opts.Estimator, and a Snapshot that merges ALL
+// (branch, shard) strata with wj.MergeStratified — the merge stays at the
+// accumulator level, so AVG unions work. It also returns the branch
+// scatters, for their telemetry. opts.Caches is ignored: the shard suffix
+// caches are keyed per plan, so branches cannot share them.
+//
+// COUNT(DISTINCT) unions are refused with query.ErrDistinctUnion: per-branch
+// walks cannot observe cross-branch duplicates. Callers route those to
+// Set.ExactUnionCtx.
+func NewUnionScatter(set *Set, up *query.UnionPlan, opts ScatterOptions) (*exec.Union, []*Scatter, error) {
+	if up.Query.Distinct() {
+		return nil, nil, query.ErrDistinctUnion
+	}
+	est := setEstimator(set, opts.Estimator)
+	scatters := make([]*Scatter, len(up.Plans))
+	steps := make([]exec.Stepper, len(up.Plans))
+	strata := make([][]*wj.Acc, len(up.Plans))
+	weights := make([]float64, len(up.Plans))
+	for i, pl := range up.Plans {
+		bopts := opts
+		bopts.Caches = nil
+		bopts.Estimator = est
+		bopts.Seed = opts.Seed + int64(i)*1_000_003
+		sc, err := NewScatter(set, pl, bopts)
+		if err != nil {
+			return nil, nil, err
+		}
+		scatters[i], steps[i], strata[i] = sc, sc, sc.Accs()
+		weights[i] = est.JoinSize(pl).Value
+	}
+	return exec.NewStrataUnion(steps, strata, weights), scatters, nil
 }
 
 // RunScatter runs Audit Join scatter-gather over a sharded set: each

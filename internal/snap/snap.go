@@ -1,6 +1,6 @@
 // Package snap persists fully built index.Store values: a versioned,
 // checksummed, section-table snapshot format written once offline (kgsnap,
-// or dynamic.Store after a delta rebuild) and loaded at serving time either
+// or a live store's background compaction) and loaded at serving time either
 // by a portable copy load or by an mmap zero-copy load whose slices alias
 // the mapping directly. The paper's engine assumes the four trie orders are
 // resident before the first Audit Join walk; snapshots make that residency

@@ -128,9 +128,6 @@ type (
 	// with the same Signature: parallel workers of one run, or successive
 	// requests for the same exploration query.
 	SharedCTJCache = ctj.SharedCache
-	// AuditJoinParallelStats reports per-worker and merged shared-cache
-	// statistics of a RunAuditJoinParallel call.
-	AuditJoinParallelStats = core.ParallelStats
 	// CardEstimator is the unified cardinality-estimation interface
 	// (internal/card): every planning, tipping and budget decision routes
 	// through one of its implementations.
@@ -159,12 +156,6 @@ const (
 	EstimatorSummary = card.EstimatorSummary
 )
 
-// EstimatorByName constructs a named cardinality estimator over the
-// dataset's store ("" selects the default span statistics).
-func (d *Dataset) EstimatorByName(name string) (CardEstimator, error) {
-	return card.ByName(name, d.store)
-}
-
 // UseEstimator switches the dataset's planning, tipping and auto-mode
 // decisions to the named cardinality estimator. Call it during setup, before
 // the dataset is shared across goroutines.
@@ -192,17 +183,6 @@ func (d *Dataset) estimator() CardEstimator {
 // NewSharedCTJCache returns an empty shared CTJ cache; pass it via
 // AuditJoinOptions.Shared to warm-start runners across calls.
 func NewSharedCTJCache() *SharedCTJCache { return ctj.NewSharedCache() }
-
-// RunAuditJoinParallel runs Audit Join with the given number of parallel
-// workers over one shared CTJ cache (see core.RunParallel): walks divide
-// across cores while cached suffix aggregates and path probabilities are
-// computed once per run, not once per worker.
-func (d *Dataset) RunAuditJoinParallel(ctx context.Context, pl *Plan, opts AuditJoinOptions, workers int, xopts DriveOptions) (EstimateResult, AuditJoinParallelStats, error) {
-	if opts.Estimator == nil {
-		opts.Estimator = d.est
-	}
-	return core.RunParallelStats(ctx, d.store, pl, opts, workers, xopts)
-}
 
 // Re-exported streaming-execution types (internal/exec): both WanderJoin and
 // AuditJoin are Steppers, and Drive is the single driving loop behind every
@@ -571,45 +551,95 @@ type UnionEstimator = exec.Union
 // unions are refused with ErrDistinctUnion — per-branch walks cannot observe
 // cross-branch duplicates — and must use ExactUnion.
 func (d *Dataset) NewUnionEstimator(up *UnionPlan, seed int64) (*UnionEstimator, error) {
+	u, _, err := d.newUnion(up, core.DefaultThreshold, seed)
+	return u, err
+}
+
+// newUnion builds the union estimator with Audit Join branch runners tipping
+// at threshold (negative: Wander Join walks), returning the runners too.
+func (d *Dataset) newUnion(up *UnionPlan, threshold float64, seed int64) (*UnionEstimator, []*AuditJoin, error) {
 	if up.Query.Distinct() {
-		return nil, query.ErrDistinctUnion
+		return nil, nil, query.ErrDistinctUnion
 	}
+	runners := make([]*AuditJoin, len(up.Plans))
 	branches := make([]exec.AccStepper, len(up.Plans))
 	weights := make([]float64, len(up.Plans))
 	for i, pl := range up.Plans {
-		branches[i] = core.New(d.store, pl, core.Options{
-			Threshold: core.DefaultThreshold,
+		runners[i] = core.New(d.store, pl, core.Options{
+			Threshold: threshold,
 			Seed:      seed + int64(i)*1_000_003,
 			Estimator: d.est,
 		})
+		branches[i] = runners[i]
 		weights[i] = d.estimator().JoinSize(pl).Value
 	}
-	return exec.NewUnion(branches, weights), nil
+	return exec.NewUnion(branches, weights), runners, nil
 }
 
-// AutoUnionCtx evaluates a union with the Auto strategy: exactly with CTJ
-// when the summed branch estimates are small (or the union is DISTINCT,
-// which has no estimator), otherwise online with the stratified union
-// estimator under the budget.
-func (d *Dataset) AutoUnionCtx(ctx context.Context, up *UnionPlan, budget time.Duration, seed int64) (AutoResult, error) {
-	total := 0.0
-	for _, pl := range up.Plans {
-		total += d.estimator().JoinSize(pl).Value
-	}
-	if up.Query.Distinct() || total <= AutoExactLimit {
-		counts, err := ctj.EvaluateUnionCtxEst(ctx, d.store, up, d.est)
+// NumShards is 0: a Dataset is one store.
+func (d *Dataset) NumShards() int { return 0 }
+
+// Health reports nothing beyond liveness for an immutable store.
+func (d *Dataset) Health(context.Context) BackendHealth { return BackendHealth{} }
+
+// Answer evaluates the target with spec.Engine, or online: Audit Join
+// warm-started from spec.SharedCache, Wander Join at a negative threshold,
+// and stratified Audit Join (tipping or not) under spec.Stratify. UNION
+// branches run Audit Join at spec.Threshold; COUNT(DISTINCT) unions are
+// answered exactly.
+func (d *Dataset) Answer(ctx context.Context, t Target, spec AnswerSpec, xopts DriveOptions) (EstimateResult, RunStats, error) {
+	if t.Union != nil {
+		up, err := query.CompileUnion(t.Union)
 		if err != nil {
-			return AutoResult{}, err
+			return EstimateResult{}, RunStats{}, err
 		}
-		return AutoResult{Counts: counts, Exact: true}, nil
+		if spec.Exact || up.Query.Distinct() {
+			return exactResult(d.ExactUnionCtx(ctx, up, spec.Engine))
+		}
+		u, runners, err := d.newUnion(up, spec.Threshold, spec.Seed)
+		if err != nil {
+			return EstimateResult{}, RunStats{}, err
+		}
+		return driveUnion(ctx, u, runners, xopts)
 	}
-	u, err := d.NewUnionEstimator(up, seed)
-	if err != nil {
-		return AutoResult{}, err
+	if spec.Exact {
+		return exactResult(d.ExactCtx(ctx, t.Plan, spec.Engine))
 	}
-	rep, err := exec.Drive(ctx, u, exec.Options{Budget: budget, Batch: 128})
-	snap := rep.Final
-	return AutoResult{Counts: snap.Estimates, CI: snap.CI, Walks: snap.Walks}, err
+	r, stats := d.runner(t.Plan, spec)
+	rep, err := exec.Drive(ctx, r, xopts)
+	return rep.Final, stats(), err
+}
+
+// runner builds the online stepper for spec and a reader of its telemetry,
+// to be called once the stepper is quiescent.
+func (d *Dataset) runner(pl *Plan, spec AnswerSpec) (Stepper, func() RunStats) {
+	opts := AuditJoinOptions{Threshold: spec.Threshold, Seed: spec.Seed}
+	if spec.Threshold >= 0 && spec.SharedCache != nil {
+		opts.Shared = spec.SharedCache(pl)
+	}
+	cacheStats := func(run CTJCacheStats, shared *SharedCTJCache, st RunStats) RunStats {
+		st.Cache = &run
+		if shared != nil {
+			ss := shared.Stats()
+			st.SharedCache = &ss
+		}
+		return st
+	}
+	switch {
+	case spec.Stratify:
+		r := d.NewStratifiedAuditJoin(pl, StratifiedAuditJoinOptions{Options: opts})
+		return r, func() RunStats {
+			strat := r.Stats()
+			return cacheStats(r.CacheStats(), r.SharedCache(), RunStats{Tips: r.TipDiag(), Strat: &strat})
+		}
+	case spec.Threshold < 0:
+		return d.NewWanderJoin(pl, spec.Seed), func() RunStats { return RunStats{} }
+	default:
+		r := d.NewAuditJoin(pl, opts)
+		return r, func() RunStats {
+			return cacheStats(r.CacheStats(), r.SharedCache(), RunStats{Tips: r.TipDiag()})
+		}
+	}
 }
 
 // AutoResult is what Auto returns: the per-group counts, whether they are

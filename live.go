@@ -180,11 +180,6 @@ func (d *LiveDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64, e
 	return live.Exact(ctx, d.ls.View(), pl)
 }
 
-// CompileUnion validates and plans every branch of a union.
-func (d *LiveDataset) CompileUnion(u *UnionQuery) (*UnionPlan, error) {
-	return query.CompileUnion(u)
-}
-
 // ExactUnionCtx evaluates a union exactly over the current view: COUNT and
 // SUM add across branches, AVG is the ratio of the summed numerators and
 // denominators, and COUNT(DISTINCT) deduplicates (group, β) pairs across
@@ -199,10 +194,16 @@ func (d *LiveDataset) ExactUnionCtx(ctx context.Context, up *UnionPlan) (map[ID]
 // Snapshot merges the branch accumulators as strata. COUNT(DISTINCT) unions
 // are refused with ErrDistinctUnion — use ExactUnionCtx.
 func (d *LiveDataset) NewUnionEstimator(up *UnionPlan, opts LiveWalkerOptions) (*UnionEstimator, error) {
+	u, _, err := d.newUnion(up, opts)
+	return u, err
+}
+
+func (d *LiveDataset) newUnion(up *UnionPlan, opts LiveWalkerOptions) (*UnionEstimator, []*LiveWalker, error) {
 	if up.Query.Distinct() {
-		return nil, query.ErrDistinctUnion
+		return nil, nil, query.ErrDistinctUnion
 	}
 	v := d.ls.View()
+	walkers := make([]*LiveWalker, len(up.Plans))
 	branches := make([]exec.AccStepper, len(up.Plans))
 	weights := make([]float64, len(up.Plans))
 	for i, pl := range up.Plans {
@@ -210,12 +211,61 @@ func (d *LiveDataset) NewUnionEstimator(up *UnionPlan, opts LiveWalkerOptions) (
 		bopts.Seed = opts.Seed + int64(i)*1_000_003
 		w, err := live.NewWalker(v, pl, bopts)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		branches[i] = w
+		walkers[i], branches[i] = w, w
 		weights[i] = float64(w.RootCard())
 	}
-	return exec.NewUnion(branches, weights), nil
+	return exec.NewUnion(branches, weights), walkers, nil
+}
+
+// NumShards is 0: a live store is one overlay over one base.
+func (d *LiveDataset) NumShards() int { return 0 }
+
+// Health reports the overlay, compaction and WAL telemetry and the last
+// background error.
+func (d *LiveDataset) Health(context.Context) BackendHealth {
+	st := d.Stats()
+	return BackendHealth{Live: &st, LastError: st.LastErr}
+}
+
+// Answer evaluates the target over the current view: exactly by merged
+// enumeration, or online by merged-view Audit Join walkers (a stratified
+// union of them for UNIONs). COUNT(DISTINCT) plans and unions are answered
+// exactly rather than risk a silently biased overlay estimate. The stats
+// carry the overlay state at the end of the run.
+func (d *LiveDataset) Answer(ctx context.Context, t Target, spec AnswerSpec, xopts DriveOptions) (EstimateResult, RunStats, error) {
+	res, st, err := d.answer(ctx, t, spec, xopts)
+	ls := d.Stats()
+	st.Live = &ls
+	return res, st, err
+}
+
+func (d *LiveDataset) answer(ctx context.Context, t Target, spec AnswerSpec, xopts DriveOptions) (EstimateResult, RunStats, error) {
+	opts := LiveWalkerOptions{Threshold: spec.Threshold, Seed: spec.Seed}
+	if t.Union != nil {
+		up, err := query.CompileUnion(t.Union)
+		if err != nil {
+			return EstimateResult{}, RunStats{}, err
+		}
+		if spec.Exact || up.Query.Distinct() {
+			return exactResult(d.ExactUnionCtx(ctx, up))
+		}
+		u, walkers, err := d.newUnion(up, opts)
+		if err != nil {
+			return EstimateResult{}, RunStats{}, err
+		}
+		return driveUnion(ctx, u, walkers, xopts)
+	}
+	if spec.Exact || t.Plan.Query.Distinct {
+		return exactResult(d.ExactCtx(ctx, t.Plan))
+	}
+	w, err := d.NewLiveWalker(t.Plan, opts)
+	if err != nil {
+		return EstimateResult{}, RunStats{}, err
+	}
+	rep, err := exec.Drive(ctx, w, xopts)
+	return rep.Final, RunStats{Tips: w.TipDiag()}, err
 }
 
 // Compact streams the current view through the external builder into a

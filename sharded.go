@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"kgexplore/internal/card"
-	"kgexplore/internal/exec"
 	"kgexplore/internal/explore"
 	"kgexplore/internal/index"
 	"kgexplore/internal/query"
@@ -202,11 +201,6 @@ func (d *ShardedDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64
 	return d.set.ExactCtx(ctx, pl)
 }
 
-// CompileUnion validates and plans every branch of a union.
-func (d *ShardedDataset) CompileUnion(u *UnionQuery) (*UnionPlan, error) {
-	return query.CompileUnion(u)
-}
-
 // ExactUnionCtx evaluates a compiled union exactly over the sharded set:
 // COUNT and SUM add across branches, AVG is the ratio of the summed
 // numerators and denominators, and COUNT(DISTINCT) deduplicates (group, β)
@@ -219,7 +213,12 @@ func (d *ShardedDataset) ExactUnionCtx(ctx context.Context, up *UnionPlan) (map[
 // Scatter per branch, branches interleaved proportionally to estimated join
 // size, Snapshot merging all (branch, shard) strata. COUNT(DISTINCT) unions
 // are refused with ErrDistinctUnion; use ExactUnionCtx.
-func (d *ShardedDataset) NewUnionScatter(up *UnionPlan, opts ShardScatterOptions) (*shard.UnionScatter, error) {
+func (d *ShardedDataset) NewUnionScatter(up *UnionPlan, opts ShardScatterOptions) (*UnionEstimator, error) {
+	u, _, err := d.newUnionScatter(up, opts)
+	return u, err
+}
+
+func (d *ShardedDataset) newUnionScatter(up *UnionPlan, opts ShardScatterOptions) (*UnionEstimator, []*ShardScatter, error) {
 	if opts.Estimator == nil {
 		opts.Estimator = d.est
 	}
@@ -230,22 +229,56 @@ func (d *ShardedDataset) NewUnionScatter(up *UnionPlan, opts ShardScatterOptions
 // stratified-merged estimate. COUNT(DISTINCT) unions fall back to the exact
 // cross-branch union, mirroring RunScatter's unowned-distinct policy.
 func (d *ShardedDataset) RunUnionScatter(ctx context.Context, up *UnionPlan, opts ShardScatterOptions, xopts DriveOptions) (EstimateResult, error) {
+	res, _, err := d.answerUnion(ctx, up, opts, xopts)
+	return res, err
+}
+
+// answerUnion is RunUnionScatter with the branch walkers' tipping
+// diagnostics.
+func (d *ShardedDataset) answerUnion(ctx context.Context, up *UnionPlan, opts ShardScatterOptions, xopts DriveOptions) (EstimateResult, RunStats, error) {
 	if up.Query.Distinct() {
-		counts, err := d.set.ExactUnionCtx(ctx, up)
+		return exactResult(d.set.ExactUnionCtx(ctx, up))
+	}
+	u, scatters, err := d.newUnionScatter(up, opts)
+	if err != nil {
+		return EstimateResult{}, RunStats{}, err
+	}
+	return driveUnion(ctx, u, scatters, xopts)
+}
+
+// Health reports nothing beyond liveness for an immutable shard set.
+func (d *ShardedDataset) Health(context.Context) BackendHealth { return BackendHealth{} }
+
+// Answer evaluates the target over the shards: exactly by resolver-backed
+// enumeration, or online by scatter-gather Audit Join (RunScatter, its
+// per-shard walker pools warm-started from spec.ShardCaches; union branches
+// interleave on one stepper). A COUNT(DISTINCT) plan whose variable the
+// partition key does not own, and every DISTINCT union, are answered
+// exactly.
+func (d *ShardedDataset) Answer(ctx context.Context, t Target, spec AnswerSpec, xopts DriveOptions) (EstimateResult, RunStats, error) {
+	opts := ShardScatterOptions{Threshold: spec.Threshold, Seed: spec.Seed, Stratify: spec.Stratify}
+	if t.Union != nil {
+		up, err := query.CompileUnion(t.Union)
 		if err != nil {
-			return EstimateResult{}, err
+			return EstimateResult{}, RunStats{}, err
 		}
-		return EstimateResult{Estimates: counts, CI: map[ID]float64{}}, nil
+		if spec.Exact {
+			return exactResult(d.set.ExactUnionCtx(ctx, up))
+		}
+		return d.answerUnion(ctx, up, opts, xopts)
 	}
-	u, err := d.NewUnionScatter(up, opts)
-	if err != nil {
-		return EstimateResult{}, err
+	if spec.Exact {
+		return exactResult(d.set.ExactCtx(ctx, t.Plan))
 	}
-	rep, err := exec.Drive(ctx, u, xopts)
-	if err != nil {
-		return EstimateResult{}, err
+	if spec.ShardCaches != nil {
+		opts.Caches = spec.ShardCaches(t.Plan, d.NumShards())
 	}
-	return rep.Final, nil
+	res, sst, err := d.RunScatter(ctx, t.Plan, opts, xopts)
+	st := RunStats{Tips: sst.Tips}
+	if spec.Stratify {
+		st.Strat = &StratifiedRunStats{Strata: sst.Strata}
+	}
+	return res, st, err
 }
 
 // NewScatter creates the sequential scatter-gather stepper for the plan:
