@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kgexplore/internal/core"
 	"kgexplore/internal/ctj"
 	"kgexplore/internal/index"
 	"kgexplore/internal/kggen"
@@ -22,6 +23,7 @@ import (
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/snap"
+	"kgexplore/internal/walk"
 	"kgexplore/internal/workload"
 )
 
@@ -280,7 +282,7 @@ func runIngestBench(w io.Writer, outPath string, scale float64, seed int64) erro
 	var latencies []float64
 	var readOps int64
 	walksToCI := make([]int64, len(plans))
-	readOp := func(lw *live.Walker) bool {
+	readOp := func(lw *walk.Walker) bool {
 		t0 := time.Now()
 		for i := 0; i < ingestReadBatch; i++ {
 			lw.Step()
@@ -299,7 +301,7 @@ func runIngestBench(w io.Writer, outPath string, scale float64, seed int64) erro
 		return true
 	}
 	for qi := range plans {
-		lw, err := live.NewWalker(ls.View(), plans[qi], live.WalkerOptions{Seed: seed + int64(qi)})
+		lw, err := live.NewWalker(ls.View(), plans[qi], live.WalkerOptions{Threshold: core.DefaultThreshold, Seed: seed + int64(qi)})
 		if err != nil {
 			ingestDone.Store(true)
 			return err
@@ -318,7 +320,7 @@ func runIngestBench(w io.Writer, outPath string, scale float64, seed int64) erro
 	// elapses, so latency percentiles and compaction counts reflect a real
 	// concurrent run even when the workload converges quickly.
 	for qi := 0; time.Since(ingestStart) < minWindow; qi = (qi + 1) % len(plans) {
-		lw, err := live.NewWalker(ls.View(), plans[qi], live.WalkerOptions{Seed: seed + readOps})
+		lw, err := live.NewWalker(ls.View(), plans[qi], live.WalkerOptions{Threshold: core.DefaultThreshold, Seed: seed + readOps})
 		if err != nil {
 			ingestDone.Store(true)
 			return err

@@ -16,8 +16,6 @@
 package ctj
 
 import (
-	"fmt"
-
 	"kgexplore/internal/card"
 	"kgexplore/internal/index"
 	"kgexplore/internal/query"
@@ -27,10 +25,10 @@ import (
 // GlobalGroup is the map key used for ungrouped queries.
 const GlobalGroup = rdf.NoID
 
-// maxIface bounds the number of interface variables a cache key can carry.
-// A boundary's interface holds at most one variable per later pattern (each
-// variable occurs in at most two patterns), and exploration queries are
-// short, so eight is generous.
+// maxIface bounds the number of values a cache key can carry: the
+// boundary's interface variables (query.Plan.Iface) plus any extras.
+// Exploration queries are short, so eight is generous; a boundary whose key
+// does not fit is computed uncached rather than refused.
 const maxIface = 8
 
 // ckey identifies a cached suffix aggregate: the boundary step plus the
@@ -68,12 +66,6 @@ type CacheStats struct {
 type Evaluator struct {
 	store *index.Store
 	pl    *query.Plan
-
-	// iface[i] lists the variables in the interface of boundary i (bound
-	// at a step < i and used at a step >= i), for i in [0, len(Steps)].
-	iface [][]query.Var
-	// lastUse[v] is the last step where variable v occurs.
-	lastUse []int
 
 	countCache map[ckey]int64
 	aggCache   map[ckey][]SuffixGroup
@@ -120,55 +112,14 @@ func (e *Evaluator) estimator() query.Estimator {
 
 // New creates an evaluation session for the plan.
 func New(store *index.Store, pl *query.Plan) *Evaluator {
-	n := len(pl.Steps)
-	e := &Evaluator{
+	return &Evaluator{
 		store:      store,
 		pl:         pl,
-		lastUse:    make([]int, pl.NumVars()),
 		countCache: make(map[ckey]int64),
 		aggCache:   make(map[ckey][]SuffixGroup),
 		existCache: make(map[ckey]bool),
 		probCache:  make(map[uint64]float64),
 	}
-	firstBound := make([]int, pl.NumVars())
-	for v := range firstBound {
-		firstBound[v] = -1
-		e.lastUse[v] = -1
-	}
-	for i, st := range pl.Steps {
-		for _, a := range []query.Atom{st.Pattern.S, st.Pattern.P, st.Pattern.O} {
-			if a.IsVar() {
-				if firstBound[a.Var] == -1 {
-					firstBound[a.Var] = i
-				}
-				e.lastUse[a.Var] = i
-			}
-		}
-		// A filter anchored at step i reads its variables at i: that is a
-		// use, and ignoring it would drop the variable from intermediate
-		// interfaces and serve cached suffixes across bindings the filter
-		// distinguishes.
-		for _, fi := range st.Filters {
-			for _, v := range pl.Query.Filters[fi].Vars() {
-				if e.lastUse[v] < i {
-					e.lastUse[v] = i
-				}
-			}
-		}
-	}
-	e.iface = make([][]query.Var, n+1)
-	for i := 0; i <= n; i++ {
-		for v := 0; v < pl.NumVars(); v++ {
-			if firstBound[v] >= 0 && firstBound[v] < i && e.lastUse[v] >= i {
-				e.iface[i] = append(e.iface[i], query.Var(v))
-			}
-		}
-		if len(e.iface[i]) > maxIface {
-			panic(fmt.Sprintf("ctj: boundary %d has %d interface variables; the fragment should keep this under %d",
-				i, len(e.iface[i]), maxIface))
-		}
-	}
-	return e
 }
 
 // NewShared creates an evaluation session that reads and writes the given
@@ -198,25 +149,27 @@ func (e *Evaluator) Plan() *query.Plan { return e.pl }
 
 // key builds the cache key for boundary step under bindings b. extra values
 // (e.g. the group and counted values for aggregate caches) are appended
-// after the interface values.
-func (e *Evaluator) key(step int, b query.Bindings, extra ...rdf.ID) ckey {
-	k := ckey{step: int8(step)}
+// after the interface values. ok is false when the values overflow the
+// fixed key; callers then compute uncached.
+func (e *Evaluator) key(step int, b query.Bindings, extra ...rdf.ID) (k ckey, ok bool) {
+	iface := e.pl.Iface(step)
+	if len(iface)+len(extra) > maxIface {
+		return k, false
+	}
+	k.step = int8(step)
 	i := 0
-	for _, v := range e.iface[step] {
+	for _, v := range iface {
 		k.vals[i] = b[v]
 		i++
 	}
 	for _, x := range extra {
-		if i >= maxIface {
-			panic("ctj: cache key overflow")
-		}
 		k.vals[i] = x
 		i++
 	}
 	for ; i < maxIface; i++ {
 		k.vals[i] = rdf.NoID
 	}
-	return k
+	return k, true
 }
 
 // probKey packs a (group, counted) value pair into the probCache key.
@@ -242,7 +195,10 @@ func (e *Evaluator) count(j int, b query.Bindings) int64 {
 	if j == len(e.pl.Steps) {
 		return 1
 	}
-	k := e.key(j, b)
+	k, ok := e.key(j, b)
+	if !ok {
+		return e.computeCount(j, b)
+	}
 	if e.shared != nil {
 		return e.sharedCount(k, j, b)
 	}
@@ -286,7 +242,10 @@ func (e *Evaluator) Exists(j int, b query.Bindings) bool {
 	if j == len(e.pl.Steps) {
 		return true
 	}
-	k := e.key(j, b)
+	k, ok := e.key(j, b)
+	if !ok {
+		return e.computeExists(j, b)
+	}
 	if e.shared != nil {
 		return e.sharedExists(k, j, b)
 	}

@@ -60,7 +60,10 @@ func (e *Evaluator) SuffixAgg(i int, b query.Bindings) []SuffixGroup {
 	if b[beta] != rdf.NoID {
 		bBound = b[beta]
 	}
-	k := e.key(i+1, b, aBound, bBound)
+	k, ok := e.key(i+1, b, aBound, bBound)
+	if !ok {
+		return e.computeSuffixAgg(i, b)
+	}
 	if e.shared != nil {
 		return e.sharedSuffixAgg(k, i, b)
 	}

@@ -24,7 +24,7 @@ const viewRPCTimeout = 30 * time.Second
 // methods cannot return errors, so any wire failure is recorded as a
 // sticky error on the affected view — which then degrades to empty
 // resolutions — and the driver discards the run after checking
-// Walker.ViewErr. A failed connection is not transparently redialed for
+// walk.Walker.Err. A failed connection is not transparently redialed for
 // existing views (their plan registrations live on the dead connection);
 // a later Open starts fresh.
 type RemoteShard struct {
@@ -155,7 +155,7 @@ type remoteView struct {
 }
 
 // Err returns the view's sticky error — the shard.View error convention
-// drivers check through Walker.ViewErr after a run.
+// drivers check through walk.Walker.Err after a run.
 func (v *remoteView) Err() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()

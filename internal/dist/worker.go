@@ -18,6 +18,7 @@ import (
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/shard"
 	"kgexplore/internal/snap"
+	"kgexplore/internal/walk"
 	"kgexplore/internal/wj"
 )
 
@@ -289,7 +290,7 @@ func (w *Worker) placement() string {
 
 // servedPlan is one registered plan on a connection, answering View RPCs
 // against this worker's own shard through the same shard.View the
-// in-process resolver would use. It pins the epoch it was opened against —
+// in-process walk.Source would use. It pins the epoch it was opened against —
 // View RPCs serve raw span offsets that are only meaningful within one
 // epoch's mmap — and releases the pin when the connection closes.
 type servedPlan struct {
@@ -510,11 +511,11 @@ func (w *Worker) handleRun(c *conn, payload []byte) error {
 	if L == 0 {
 		L = 1
 	}
-	walkers := make([][]*shard.Walker, L)
+	walkers := make([][]*walk.Walker, L)
 	cards := make([]int, L)
 	cardTotal := 0
 	for l := 0; l < L; l++ {
-		walkers[l] = make([]*shard.Walker, wps)
+		walkers[l] = make([]*walk.Walker, wps)
 		for j := 0; j < wps; j++ {
 			wo := shard.WalkerOptions{
 				Threshold: req.Threshold,
@@ -695,7 +696,7 @@ func (w *Worker) handleRun(c *conn, payload []byte) error {
 				}
 			}
 			wg.Add(1)
-			go func(wk *shard.Walker, o exec.Options, e int) {
+			go func(wk *walk.Walker, o exec.Options, e int) {
 				defer wg.Done()
 				_, errs[e] = exec.Drive(ctx, wk, o)
 			}(walkers[l][j], oj, idx)
@@ -732,7 +733,7 @@ func (w *Worker) handleRun(c *conn, payload []byte) error {
 	}
 	for l := 0; l < L; l++ {
 		for _, wk := range walkers[l] {
-			if err := wk.ViewErr(); err != nil {
+			if err := wk.Err(); err != nil {
 				return fmt.Errorf("dist: peer shard failed mid-run: %w", err)
 			}
 		}
@@ -763,7 +764,7 @@ func (w *Worker) handleRun(c *conn, payload []byte) error {
 	return c.writeFrame(MsgDone, wb.b)
 }
 
-// handleExact runs the exact resolver-backed enumeration — the suffix/CTJ
+// handleExact runs the exact enumeration over the hybrid set — the
 // fallback for COUNT(DISTINCT) plans the stratified estimator cannot serve
 // — and returns the group map in one response.
 func (w *Worker) handleExact(c *conn, payload []byte) error {
@@ -807,7 +808,7 @@ func (w *Worker) handleExact(c *conn, payload []byte) error {
 
 	var counts map[rdf.ID]float64
 	if up != nil {
-		counts, err = e.set.ExactUnionCtx(ctx, up)
+		counts, err = walk.ExactUnion(ctx, e.set, up)
 	} else {
 		counts, err = e.set.ExactCtx(ctx, pl)
 	}

@@ -63,7 +63,7 @@ type Step struct {
 	// whose variables are all bound once this step completes, anchored at
 	// the LAST such step. Engines check them right after binding the step;
 	// a filter is an extra use of its variables at the anchor step, which
-	// the CTJ interface computation must honor (see ctj's lastUse).
+	// the interface computation honors (see Plan.Iface).
 	Filters []int
 }
 
@@ -83,6 +83,8 @@ type Plan struct {
 	AlphaStep, BetaStep int
 	AlphaPos, BetaPos   index.Pos
 	nvars               int
+	// iface[i] is the interface of boundary i; see Iface.
+	iface [][]Var
 }
 
 // NumVars returns the size of a binding array for this plan.
@@ -163,7 +165,53 @@ func compile(q *Query) (*Plan, error) {
 	if err := pl.anchorFilters(); err != nil {
 		return nil, err
 	}
+	pl.iface = pl.interfaces()
 	return pl, nil
+}
+
+// Iface returns the interface variables of step boundary i, for i in
+// [0, len(Steps)]: the variables bound at a step before i and used at a step
+// at or after i. They are the cache-key variables of every suffix cache
+// (ctj, walk): two prefixes that agree on them have the same suffix joins.
+// Callers must not modify the slice.
+func (pl *Plan) Iface(i int) []Var { return pl.iface[i] }
+
+// interfaces computes Iface for every boundary. A filter anchored at step i
+// reads its variables at i: that is a use, and ignoring it would drop the
+// variable from intermediate interfaces and serve cached suffixes across
+// bindings the filter distinguishes.
+func (pl *Plan) interfaces() [][]Var {
+	firstBound := make([]int, pl.nvars)
+	lastUse := make([]int, pl.nvars)
+	for v := range firstBound {
+		firstBound[v], lastUse[v] = -1, -1
+	}
+	for i, st := range pl.Steps {
+		for _, a := range []Atom{st.Pattern.S, st.Pattern.P, st.Pattern.O} {
+			if a.IsVar() {
+				if firstBound[a.Var] == -1 {
+					firstBound[a.Var] = i
+				}
+				lastUse[a.Var] = i
+			}
+		}
+		for _, fi := range st.Filters {
+			for _, v := range pl.Query.Filters[fi].Vars() {
+				if lastUse[v] < i {
+					lastUse[v] = i
+				}
+			}
+		}
+	}
+	iface := make([][]Var, len(pl.Steps)+1)
+	for i := range iface {
+		for v := 0; v < pl.nvars; v++ {
+			if firstBound[v] >= 0 && firstBound[v] < i && lastUse[v] >= i {
+				iface[i] = append(iface[i], Var(v))
+			}
+		}
+	}
+	return iface
 }
 
 // anchorFilters attaches each query filter to the earliest step at which
@@ -348,15 +396,17 @@ func (st *Step) ResolveSpan(store *index.Store, b Bindings) (index.Span, bool) {
 		sp := store.SpanL2(st.Order, atomValue(st.Key0, b), atomValue(st.Key1, b))
 		return sp, !sp.Empty()
 	default: // AccessMembership
-		tr := rdf.Triple{
-			S: atomValue(st.Pattern.S, b),
-			P: atomValue(st.Pattern.P, b),
-			O: atomValue(st.Pattern.O, b),
-		}
-		if store.Contains(tr) {
-			return index.Span{}, true
-		}
-		return index.Span{}, false
+		return index.Span{}, store.Contains(st.BoundTriple(b))
+	}
+}
+
+// BoundTriple materializes the step's pattern under the bindings; every
+// position must be a constant or a bound variable (a membership step).
+func (st *Step) BoundTriple(b Bindings) rdf.Triple {
+	return rdf.Triple{
+		S: atomValue(st.Pattern.S, b),
+		P: atomValue(st.Pattern.P, b),
+		O: atomValue(st.Pattern.O, b),
 	}
 }
 

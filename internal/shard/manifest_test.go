@@ -32,7 +32,7 @@ func TestManifestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := buildSet(t, g, 4).Exact(pl)
+	want := exactOf(t, buildSet(t, g, 4), pl)
 
 	path, m := writeFixtureSet(t, g, 4)
 	if m.Shards != 4 || len(m.Files) != 4 || m.Partitioner != DefaultPartitioner {
@@ -46,7 +46,7 @@ func TestManifestRoundtrip(t *testing.T) {
 		if s.K() != 4 || s.NumTriples() != g.Len() {
 			t.Fatalf("mmap=%v: loaded %d shards / %d triples", mmap, s.K(), s.NumTriples())
 		}
-		got := s.Exact(pl)
+		got := exactOf(t, s, pl)
 		if !testkit.MapsEqual(got, want, 1e-9) {
 			t.Fatalf("mmap=%v: loaded set disagrees with built set", mmap)
 		}

@@ -14,6 +14,7 @@ import (
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/stats"
+	"kgexplore/internal/walk"
 	"kgexplore/internal/wj"
 )
 
@@ -61,10 +62,6 @@ func subStrataAll(set *Set, pl *query.Plan, maxStrata int) [][]index.RootStratum
 	if pl.Query.Distinct || pl.Steps[0].Kind == query.AccessMembership {
 		return out
 	}
-	res, err := newResolver(set, pl)
-	if err != nil {
-		return out
-	}
 	st0 := &pl.Steps[0]
 	b := pl.NewBindings()
 	for k := 0; k < set.K(); k++ {
@@ -72,8 +69,8 @@ func subStrataAll(set *Set, pl *query.Plan, maxStrata int) [][]index.RootStratum
 		if store == nil {
 			continue // remote shard: roots are not local to this process
 		}
-		span, ok := res.views[k].Resolve(0, b)
-		if !ok || span.Len() == 0 {
+		span, ok := st0.ResolveSpan(store, b)
+		if !ok {
 			continue
 		}
 		out[k] = index.StratifyRoots(store, st0.Order, span, maxStrata)
@@ -130,14 +127,14 @@ type ShardRunStats struct {
 // and which distinct path ran.
 type ScatterStats struct {
 	PerShard []ShardRunStats `json:"per_shard"`
-	Cache    CacheStats      `json:"cache"`
+	Cache    walk.CacheStats `json:"cache"`
 	// Estimator names the cardinality estimator the run used.
 	Estimator string `json:"estimator,omitempty"`
 	// Tips merges every walker's estimate-vs-actual tipping diagnostics.
 	Tips core.TipDiag `json:"tips"`
 	// OwnedDistinct marks a COUNT(DISTINCT) served by the stratified
 	// owned-variable estimator; ExactFallback marks one served by the
-	// exact union (Set.Exact) because the partition key does not own the
+	// exact union (Set.ExactCtx) because the partition key does not own the
 	// distinct variable.
 	OwnedDistinct bool `json:"owned_distinct,omitempty"`
 	ExactFallback bool `json:"exact_fallback,omitempty"`
@@ -158,7 +155,7 @@ type ScatterStats struct {
 // progressive snapshots with no scatter-specific driving code; RunScatter
 // adds per-stratum worker pools on top for parallel serving.
 type Scatter struct {
-	walkers []*Walker
+	walkers []*walk.Walker
 	weights []float64
 	credit  []float64
 	totalW  float64
@@ -297,7 +294,7 @@ func (s *Scatter) TipDiag() core.TipDiag {
 //
 // COUNT(DISTINCT) unions are refused with query.ErrDistinctUnion: per-branch
 // walks cannot observe cross-branch duplicates. Callers route those to
-// Set.ExactUnionCtx.
+// walk.ExactUnion.
 func NewUnionScatter(set *Set, up *query.UnionPlan, opts ScatterOptions) (*exec.Union, []*Scatter, error) {
 	if up.Query.Distinct() {
 		return nil, nil, query.ErrDistinctUnion
@@ -377,12 +374,12 @@ func RunScatter(ctx context.Context, set *Set, pl *query.Plan, opts ScatterOptio
 	leaves := scatterLeaves(set, pl, opts)
 	L := len(leaves)
 	sstats.Strata = L
-	walkers := make([][]*Walker, L)
+	walkers := make([][]*walk.Walker, L)
 	cards := make([]int, L)
 	total := 0
 	widx := 0
 	for li, leaf := range leaves {
-		walkers[li] = make([]*Walker, wps)
+		walkers[li] = make([]*walk.Walker, wps)
 		for j := 0; j < wps; j++ {
 			w, err := NewWalker(set, pl, leaf.shard, WalkerOptions{
 				Threshold: opts.Threshold,
@@ -570,7 +567,7 @@ func RunScatter(ctx context.Context, set *Set, pl *query.Plan, opts ScatterOptio
 				o.Interval = xopts.Interval
 			}
 			wg.Add(1)
-			go func(w *Walker, o exec.Options, e int) {
+			go func(w *walk.Walker, o exec.Options, e int) {
 				defer wg.Done()
 				_, errs[e] = exec.Drive(ctx, w, o)
 			}(walkers[k][j], o, k*wps+j)

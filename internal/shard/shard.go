@@ -7,7 +7,7 @@
 // The estimator is stratified: stratum k is the set of join paths whose
 // ROOT triple lives in shard k. A stratum's walker samples its first step
 // from shard k's root span only and resolves every later step against the
-// union of all shards (see resolver), so each stratum's Horvitz–Thompson
+// union of all shards (see Set.Source), so each stratum's Horvitz–Thompson
 // estimate is unbiased for the stratum total, strata are disjoint and
 // covering, and the global estimate is the sum of stratum estimates with
 // variances combined in quadrature (wj.MergeStratified). Walks are
@@ -19,7 +19,7 @@
 // "owns" the distinct variable — β is the subject of the root pattern, so
 // every distinct (group, β) pair is counted by exactly one stratum; see
 // Owned. Otherwise RunScatter documents the limitation by falling back to
-// the exact resolver-backed enumeration (Set.Exact).
+// the exact enumeration (Set.ExactCtx).
 package shard
 
 import (

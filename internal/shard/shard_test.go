@@ -2,10 +2,8 @@ package shard
 
 import (
 	"context"
-	"math"
 	"testing"
 
-	"kgexplore/internal/card"
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/testkit"
@@ -27,6 +25,15 @@ func buildSet(t *testing.T, g *rdf.Graph, k int) *Set {
 		t.Fatal(err)
 	}
 	return s
+}
+
+func exactOf(t *testing.T, s *Set, pl *query.Plan) map[rdf.ID]float64 {
+	t.Helper()
+	got, err := s.ExactCtx(context.Background(), pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 func TestBuildPartitionInvariants(t *testing.T) {
@@ -69,7 +76,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []int{1, 3, 4} {
-			got := buildSet(t, g, k).Exact(pl)
+			got := exactOf(t, buildSet(t, g, k), pl)
 			if !testkit.MapsEqual(got, want, 1e-9) {
 				t.Fatalf("distinct=%v K=%d: exact %v, want %v", distinct, k, got, want)
 			}
@@ -83,7 +90,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := buildSet(t, g, 4).Exact(pl)
+		got := exactOf(t, buildSet(t, g, 4), pl)
 		if !testkit.MapsEqual(got, want, 1e-6) {
 			t.Fatalf("agg=%v: exact %v, want %v", agg, got, want)
 		}
@@ -171,48 +178,5 @@ func TestDistinctFallbackIsExact(t *testing.T) {
 	want := testkit.BruteForce(g, q)
 	if !testkit.MapsEqual(res.Estimates, want, 1e-9) {
 		t.Fatalf("fallback result %v, want %v", res.Estimates, want)
-	}
-}
-
-func TestSuffixOracleMatchesMonolith(t *testing.T) {
-	// At K=1 the set-level oracle must agree with the single-store suffix
-	// estimator on the initial (no bindings beyond the root) estimates; at
-	// K>1 the sums stay within rounding of the monolith because
-	// cardinalities add.
-	g := testkit.RandomGraph(13, 30, 3, 25, 400)
-	q := testkit.ChainQuery(g, []rdf.ID{30, 31}, true, false)
-	pl, err := query.Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := testkit.BuildStore(g)
-	mono := card.NewSpanStats(st).NewSuffix(pl, card.StoreResolver{Store: st, Plan: pl})
-	b := pl.NewBindings()
-	b.Reset()
-	// Bind the root from the full store and compare suffix estimates.
-	sp, ok := pl.Steps[0].ResolveSpan(st, b)
-	if !ok {
-		t.Skip("empty root")
-	}
-	tr := st.At(pl.Steps[0].Order, sp, sp.Len()/2)
-	pl.Steps[0].Bind(tr, b)
-	want := mono.Estimate(0, b)
-
-	s := buildSet(t, g, 4)
-	est := setEstimator(s, nil)
-	res, err := newResolver(s, pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	or := est.NewSuffix(pl, resolverWidth{res})
-	got := or.Estimate(0, b)
-	if want == 0 {
-		if got != 0 {
-			t.Fatalf("oracle %v, monolith 0", got)
-		}
-		return
-	}
-	if rel := math.Abs(got-want) / want; rel > 0.5 {
-		t.Fatalf("set-level suffix estimate %v too far from monolith %v", got, want)
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // View is the plan-scoped read surface of ONE shard — the boundary the
-// resolver and walker consume, promoted to an interface so a shard can be
+// set's walk.Source consumes, promoted to an interface so a shard can be
 // served from another process (internal/dist) as well as from a local
 // index.Store. A View is opened for one compiled plan; step indices refer
 // to that plan's steps, which lets a remote implementation register the
@@ -46,7 +46,7 @@ type Remote interface {
 }
 
 // localView serves a shard held in-process: direct store access with the
-// plan's static spans pre-resolved (the caching newResolver used to do).
+// plan's static spans pre-resolved.
 type localView struct {
 	store  *index.Store
 	pl     *query.Plan
@@ -85,7 +85,7 @@ func (v *localView) Read(i int, sp index.Span, off, max int, buf []rdf.Triple) [
 func (v *localView) Contains(t rdf.Triple) bool { return v.store.Contains(t) }
 
 // NewStoreView returns the View of a single in-process store for pl — the
-// same view the resolver opens for local shards, exported so a shard
+// same view Set.Source opens for local shards, exported so a shard
 // server (internal/dist) answers wire-level Resolve/At/Read/Contains
 // through the identical code path the in-process walker uses.
 func NewStoreView(st *index.Store, pl *query.Plan) View { return newLocalView(st, pl) }
@@ -106,7 +106,7 @@ func viewErr(v View) error {
 // locally, every other shard resolved over the wire — and how a
 // coordinator-side exact fallback enumerates a set it only partially
 // holds. Walkers can only root in local strata (NewWalker enforces it);
-// the resolver reaches every shard.
+// the set's Source reaches every shard.
 func NewHybrid(stores []*index.Store, remotes []Remote, part Partitioner, dict *rdf.Dict) (*Set, error) {
 	if len(stores) == 0 || len(stores) != len(remotes) {
 		return nil, fmt.Errorf("shard: hybrid set needs matching store/remote slices, got %d/%d",

@@ -616,6 +616,9 @@ func Print(q *query.Query, d *rdf.Dict, names map[string]query.Var) string {
 }
 
 // PrintUnion renders a union query; with a single branch it matches Print.
+// SPARQL names α and β once, in the header, for every branch, so each
+// branch prints its own α and β under branch 0's names, and a variable of
+// the branch whose name would collide with them is renamed.
 func PrintUnion(u *query.UnionQuery, d *rdf.Dict, names map[string]query.Var) string {
 	if len(u.Branches) == 1 {
 		return Print(u.Branches[0], d, names)
@@ -630,12 +633,51 @@ func PrintUnion(u *query.UnionQuery, d *rdf.Dict, names map[string]query.Var) st
 			b.WriteString("  UNION\n")
 		}
 		b.WriteString("  {\n")
-		printBody(&b, q, d, nameOf, "    ")
+		printBody(&b, q, d, branchNames(q, q0, nameOf), "    ")
 		b.WriteString("  }\n")
 	}
 	b.WriteString("}")
 	printGroupBy(&b, q0, nameOf)
 	return b.String()
+}
+
+// branchNames names branch q's variables for a union headed by q0: q's α
+// and β take q0's names, and any other variable whose name is one of those
+// gets a fresh name unused in the branch.
+func branchNames(q, q0 *query.Query, nameOf func(query.Var) string) func(query.Var) string {
+	n := max(q.NumVars(), int(q.Beta)+1)
+	if q.Alpha != query.NoVar {
+		n = max(n, int(q.Alpha)+1)
+	}
+	out := make([]string, n)
+	used := make(map[string]bool, n)
+	for v := range out {
+		out[v] = nameOf(query.Var(v))
+		used[out[v]] = true
+	}
+	header := map[string]bool{nameOf(q0.Beta): true}
+	if q0.Alpha != query.NoVar {
+		header[nameOf(q0.Alpha)] = true
+	}
+	for v, n := range out {
+		if header[n] && query.Var(v) != q.Alpha && query.Var(v) != q.Beta {
+			for used[n] {
+				n += "_"
+			}
+			used[n] = true
+			out[v] = n
+		}
+	}
+	out[q.Beta] = nameOf(q0.Beta)
+	if q.Alpha != query.NoVar {
+		out[q.Alpha] = nameOf(q0.Alpha)
+	}
+	return func(v query.Var) string {
+		if int(v) < len(out) {
+			return out[v]
+		}
+		return nameOf(v)
+	}
 }
 
 func nameFunc(names map[string]query.Var) func(query.Var) string {

@@ -6,6 +6,7 @@ import (
 
 	"kgexplore/internal/query"
 	"kgexplore/internal/rdf"
+	"kgexplore/internal/testkit"
 )
 
 // TestParseFilter covers the FILTER grammar: comparisons, conjunctions,
@@ -231,5 +232,37 @@ func TestVarNameReverse(t *testing.T) {
 	}
 	if got := p.VarName(query.Var(99)); got != "v99" {
 		t.Errorf("VarName(99) = %q, want fallback v99", got)
+	}
+}
+
+// TestPrintUnionRenamesBranchVariables: SPARQL names α and β once for every
+// branch, so a union built in the IR whose branches number them differently
+// must print each branch under branch 0's names and still mean the same
+// query.
+func TestPrintUnionRenamesBranchVariables(t *testing.T) {
+	g := testkit.RandomGraph(4, 20, 2, 15, 200)
+	p, q := query.C(20), query.C(21)
+	u := &query.UnionQuery{Branches: []*query.Query{
+		{Alpha: 0, Beta: 1, Patterns: []query.Pattern{{S: query.V(0), P: p, O: query.V(1)}}},
+		{Alpha: 1, Beta: 0, Patterns: []query.Pattern{{S: query.V(0), P: q, O: query.V(1)}}},
+		{Alpha: 2, Beta: 0, Patterns: []query.Pattern{
+			{S: query.V(0), P: p, O: query.V(1)},
+			{S: query.V(1), P: q, O: query.V(2)},
+		}},
+	}}
+	if err := u.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := testkit.BruteForceUnion(g, u)
+	if len(want) == 0 {
+		t.Fatal("empty fixture")
+	}
+	printed := PrintUnion(u, g.Dict, nil)
+	p2, err := Parse(printed, g.Dict)
+	if err != nil {
+		t.Fatalf("re-Parse of %q: %v", printed, err)
+	}
+	if got := testkit.BruteForceUnion(g, p2.Union()); !testkit.MapsEqual(got, want, 1e-9) {
+		t.Fatalf("printed union answers %v, IR union %v\nprinted: %s", got, want, printed)
 	}
 }

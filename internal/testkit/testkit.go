@@ -247,3 +247,44 @@ func MapsEqual(got, want map[rdf.ID]float64, eps float64) bool {
 	}
 	return true
 }
+
+// WideChain builds the interface-overflow probe: an n-pattern chain
+// <root> <p> ?x0 . ?x0 <p> ?x1 . … ?x(n-2) <p> ?x(n-1) counting ?x(n-1),
+// with one FILTER reading every variable (their numeric sum exceeds a
+// threshold that about half the paths pass). The graph is layered: the
+// root, one node in layer 1 and two numeric-literal nodes in every later
+// layer, with every edge between consecutive layers. Because the filter
+// reads every variable at the last step, boundary i's interface holds i
+// variables, so past nine patterns it outgrows every fixed suffix-cache key.
+func WideChain(n int) (*rdf.Graph, *query.Query) {
+	g := rdf.NewGraph()
+	p := rdf.NewIRI("urn:wide:p")
+	layer := []rdf.Term{rdf.NewIRI("urn:wide:root")}
+	lo, hi := 0.0, 0.0
+	for i := 1; i <= n; i++ {
+		next := []rdf.Term{rdf.NewLiteral(itoa(2 * i))}
+		if i > 1 {
+			next = append(next, rdf.NewLiteral(itoa(2*i+1)))
+			hi++
+		}
+		lo += float64(2 * i)
+		for _, s := range layer {
+			for _, o := range next {
+				g.Add(s, p, o)
+			}
+		}
+		layer = next
+	}
+	g.Dedup()
+	pid, _ := g.Dict.Lookup(p)
+	root, _ := g.Dict.Lookup(rdf.NewIRI("urn:wide:root"))
+	q := &query.Query{Alpha: query.NoVar, Beta: query.Var(n - 1)}
+	sum := query.EVar(0)
+	q.Patterns = append(q.Patterns, query.Pattern{S: query.C(root), P: query.C(pid), O: query.V(0)})
+	for v := 1; v < n; v++ {
+		q.Patterns = append(q.Patterns, query.Pattern{S: query.V(query.Var(v - 1)), P: query.C(pid), O: query.V(query.Var(v))})
+		sum = query.EArith(query.ArithAdd, sum, query.EVar(query.Var(v)))
+	}
+	q.Filters = []query.Filter{{Op: query.CmpGt, L: sum, R: query.ENum(lo + hi/2)}}
+	return g, q
+}

@@ -326,11 +326,15 @@ func (d *Dataset) WriteStoreSnapshotFileOpts(path, source string, o StoreSnapsho
 // copy load on platforms without mmap); with mmap false the snapshot is
 // fully verified and copied into private memory.
 func LoadStoreSnapshotFile(path string, mmap bool) (*StoreSnapshot, error) {
+	return loadStoreSnapshot(path, mmap, false)
+}
+
+func loadStoreSnapshot(path string, mmap, heapDict bool) (*StoreSnapshot, error) {
 	mode := snap.ModeCopy
 	if mmap {
 		mode = snap.ModeAuto
 	}
-	l, err := snap.LoadFile(path, snap.Options{Mode: mode})
+	l, err := snap.LoadFile(path, snap.Options{Mode: mode, HeapDict: heapDict})
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/snap"
 	"kgexplore/internal/sparql"
+	"kgexplore/internal/walk"
 )
 
 // Re-exported live-ingestion types (internal/live).
@@ -31,9 +32,11 @@ type (
 	LiveView = live.View
 	// LiveWalker runs Audit Join walks over one overlay view. It is a
 	// Stepper: drive it with Drive or RunWalks.
-	LiveWalker = live.Walker
+	LiveWalker = walk.Walker
 	// LiveWalkerOptions configure one overlay walker (tipping threshold,
-	// seed, estimator).
+	// seed, estimator). The threshold follows the one tipping rule: negative
+	// never tips, 0 tips only on empty suffixes; pass
+	// DefaultTippingThreshold for the default.
 	LiveWalkerOptions = live.WalkerOptions
 	// LiveCompactResult reports one background compaction: the fresh
 	// snapshot path, residual overlay sizes, and the retired base's closer
@@ -185,7 +188,7 @@ func (d *LiveDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64, e
 // denominators, and COUNT(DISTINCT) deduplicates (group, β) pairs across
 // branches through one shared value set.
 func (d *LiveDataset) ExactUnionCtx(ctx context.Context, up *UnionPlan) (map[ID]float64, error) {
-	return live.ExactUnion(ctx, d.ls.View(), up)
+	return walk.ExactUnion(ctx, d.ls.View(), up)
 }
 
 // NewUnionEstimator creates the stratified union estimator over ONE captured
@@ -287,9 +290,12 @@ func (d *LiveDataset) CompactInMemory() (LiveCompactResult, error) {
 
 // LoadLiveDataset loads a base store snapshot (.kgs) and wraps it as a live
 // dataset whose closer is the snapshot mapping: the kgserver -live startup
-// path. walPath ("" disables) configures write-ahead durability.
+// path. walPath ("" disables) configures write-ahead durability. The
+// dictionary is loaded onto the heap even when the index is mapped: the
+// live store keeps interning into it after compaction retires and unmaps
+// this base.
 func LoadLiveDataset(path string, mmap bool, walPath string, noSync bool) (*LiveDataset, error) {
-	ss, err := LoadStoreSnapshotFile(path, mmap)
+	ss, err := loadStoreSnapshot(path, mmap, true)
 	if err != nil {
 		return nil, err
 	}

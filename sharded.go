@@ -9,6 +9,7 @@ import (
 	"kgexplore/internal/query"
 	"kgexplore/internal/shard"
 	"kgexplore/internal/sparql"
+	"kgexplore/internal/walk"
 )
 
 // Re-exported sharding types (internal/shard).
@@ -19,7 +20,7 @@ type (
 	// walker pool of one shard across scatter-gather runs.
 	ShardCache = shard.Cache
 	// ShardCacheStats reports hits and misses of one or more shard caches.
-	ShardCacheStats = shard.CacheStats
+	ShardCacheStats = walk.CacheStats
 	// ShardScatterOptions configures a scatter-gather Audit Join run.
 	ShardScatterOptions = shard.ScatterOptions
 	// ShardScatterStats reports per-shard allocation and cache statistics of
@@ -192,9 +193,12 @@ func (d *ShardedDataset) BarsOf(counts map[ID]float64, ci map[ID]float64) []Bar 
 	return barsOf(d.set.Dict(), counts, ci)
 }
 
-// Exact evaluates the plan exactly over all shards (resolver-backed
-// enumeration with the owner fast path).
-func (d *ShardedDataset) Exact(pl *Plan) map[ID]float64 { return d.set.Exact(pl) }
+// Exact evaluates the plan exactly over all shards (enumeration through the
+// set's walk.Source, with the owner fast path).
+func (d *ShardedDataset) Exact(pl *Plan) map[ID]float64 {
+	res, _ := d.set.ExactCtx(context.Background(), pl)
+	return res
+}
 
 // ExactCtx is Exact with cooperative cancellation.
 func (d *ShardedDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64, error) {
@@ -206,7 +210,7 @@ func (d *ShardedDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64
 // numerators and denominators, and COUNT(DISTINCT) deduplicates (group, β)
 // pairs across branches through one shared value set.
 func (d *ShardedDataset) ExactUnionCtx(ctx context.Context, up *UnionPlan) (map[ID]float64, error) {
-	return d.set.ExactUnionCtx(ctx, up)
+	return walk.ExactUnion(ctx, d.set, up)
 }
 
 // NewUnionScatter creates the stratified union stepper over the shards: one
@@ -237,7 +241,7 @@ func (d *ShardedDataset) RunUnionScatter(ctx context.Context, up *UnionPlan, opt
 // diagnostics.
 func (d *ShardedDataset) answerUnion(ctx context.Context, up *UnionPlan, opts ShardScatterOptions, xopts DriveOptions) (EstimateResult, RunStats, error) {
 	if up.Query.Distinct() {
-		return exactResult(d.set.ExactUnionCtx(ctx, up))
+		return exactResult(walk.ExactUnion(ctx, d.set, up))
 	}
 	u, scatters, err := d.newUnionScatter(up, opts)
 	if err != nil {
@@ -263,7 +267,7 @@ func (d *ShardedDataset) Answer(ctx context.Context, t Target, spec AnswerSpec, 
 			return EstimateResult{}, RunStats{}, err
 		}
 		if spec.Exact {
-			return exactResult(d.set.ExactUnionCtx(ctx, up))
+			return exactResult(walk.ExactUnion(ctx, d.set, up))
 		}
 		return d.answerUnion(ctx, up, opts, xopts)
 	}
