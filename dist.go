@@ -181,7 +181,7 @@ func (d *DistDataset) EstimatorName() string {
 
 // ExactUnionCtx evaluates a union exactly on one worker, which shares the
 // DISTINCT dedup set and AVG numerator/denominator across branches against
-// its hybrid-resolver view of the whole set. Retries on worker loss.
+// its hybrid Source over the whole set. Retries on worker loss.
 func (d *DistDataset) ExactUnionCtx(ctx context.Context, up *UnionPlan) (map[ID]float64, error) {
 	return d.co.ExactUnion(ctx, up.Query, 0)
 }
@@ -223,7 +223,7 @@ func (d *DistDataset) answerUnion(ctx context.Context, up *UnionPlan, opts DistR
 
 // ExactCtx evaluates the plan exactly on one worker (replicate workers hold
 // the whole set; own-placement workers reach peers through their hybrid
-// resolver), retrying on worker loss, with cooperative cancellation.
+// Source), retrying on worker loss, with cooperative cancellation.
 func (d *DistDataset) ExactCtx(ctx context.Context, pl *Plan) (map[ID]float64, error) {
 	return d.co.Exact(ctx, pl.Query, 0)
 }

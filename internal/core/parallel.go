@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kgexplore/internal/ctj"
@@ -88,9 +86,6 @@ func RunParallelStats(ctx context.Context, store *index.Store, pl *query.Plan, o
 	if workers < 1 {
 		workers = 1
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	if opts.Shared == nil && !opts.NoSharedCache {
 		opts.Shared = ctj.NewSharedCache()
 	}
@@ -99,106 +94,39 @@ func RunParallelStats(ctx context.Context, store *index.Store, pl *query.Plan, o
 	}
 
 	runners := make([]*Runner, workers)
-	latest := make([]*wj.Acc, workers)
-	errs := make([]error, workers)
-	var mu sync.Mutex // guards latest
-	var stopped atomic.Bool
-	onSnap := xopts.OnSnapshot
-
-	mergedLocked := func() wj.Result {
-		m := wj.NewAcc()
-		for _, a := range latest {
-			if a != nil {
-				m.Merge(a)
-			}
-		}
-		return m.Snapshot(stats.Z95)
-	}
-
-	// The merged progressive stream runs on its own publisher goroutine, so
-	// it survives any individual worker finishing early (a worker that hits
-	// its MaxWalks cap or errors just stops refreshing its clone; the
-	// publisher keeps folding the others).
-	start := time.Now()
-	seq := 0
-	publish := func(final bool) bool {
-		mu.Lock()
-		merged := mergedLocked()
-		mu.Unlock()
-		seq++
-		ok := onSnap(exec.Progress{
-			Seq:      seq,
-			Elapsed:  time.Since(start),
-			Walks:    merged.Walks,
-			Snapshot: merged,
-			Final:    final,
-		})
-		if !ok {
-			stopped.Store(true)
-			cancel()
-		}
-		return ok
-	}
-	pubStop := make(chan struct{})
-	var pubWG sync.WaitGroup
-	if onSnap != nil && xopts.Interval > 0 {
-		pubWG.Add(1)
-		go func() {
-			defer pubWG.Done()
-			ticker := time.NewTicker(xopts.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-pubStop:
-					return
-				case <-ticker.C:
-					if !publish(false) {
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range runners {
 		o := opts
 		o.Seed = WorkerSeed(opts.Seed, w)
 		runners[w] = New(store, pl, o)
+	}
+	wopts := xopts
+	wopts.OnSnapshot = nil
 
-		wopts := xopts
-		wopts.OnSnapshot = nil
-		if onSnap != nil && xopts.Interval > 0 {
-			w := w
-			// Each worker publishes a clone of its accumulator per interval;
-			// the publisher goroutine reads the clones, never the live
-			// accumulators.
-			wopts.OnSnapshot = func(exec.Progress) bool {
-				mu.Lock()
-				latest[w] = runners[w].Acc().Clone()
-				mu.Unlock()
-				return true
+	// The merged progressive stream folds the workers' latest clones on its
+	// own goroutine, so it survives any individual worker finishing early.
+	onSnap := xopts.OnSnapshot
+	start := time.Now()
+	seq := 0
+	stopped := false
+	var tick func([]*wj.Acc) bool
+	if onSnap != nil && xopts.Interval > 0 {
+		tick = func(accs []*wj.Acc) bool {
+			m := wj.NewAcc()
+			for _, a := range accs {
+				m.Merge(a)
 			}
+			merged := m.Snapshot(stats.Z95)
+			seq++
+			stopped = !onSnap(exec.Progress{
+				Seq:      seq,
+				Elapsed:  time.Since(start),
+				Walks:    merged.Walks,
+				Snapshot: merged,
+			})
+			return !stopped
 		}
-
-		wg.Add(1)
-		go func(r *Runner, o exec.Options, i int) {
-			defer wg.Done()
-			_, errs[i] = exec.Drive(ctx, r, o)
-		}(runners[w], wopts, w)
 	}
-	wg.Wait()
-	close(pubStop)
-	pubWG.Wait()
-
-	// Workers are quiescent now: refresh the publish state from the live
-	// accumulators so the Final snapshot is complete even for workers that
-	// never published a clone (e.g. when Interval is zero).
-	mu.Lock()
-	for i, r := range runners {
-		latest[i] = r.Acc()
-	}
-	mu.Unlock()
+	errs := exec.DrivePools(ctx, [][]*Runner{runners}, []exec.Options{wopts}, xopts.Interval, tick)
 
 	merged := wj.NewAcc()
 	pstats := ParallelStats{PerWorker: make([]ctj.CacheStats, workers)}
@@ -214,15 +142,22 @@ func RunParallelStats(ctx context.Context, store *index.Store, pl *query.Plan, o
 	}
 	res := merged.Snapshot(stats.Z95)
 	for _, err := range errs {
-		if err != nil && !(stopped.Load() && errors.Is(err, context.Canceled)) {
+		if err != nil && !(stopped && errors.Is(err, context.Canceled)) {
 			return res, pstats, err
 		}
 	}
 	// One complete Final snapshot after the workers stop — the merged
 	// equivalent of exec.Drive's final emit (skipped when the callback
 	// already asked to stop).
-	if onSnap != nil && !stopped.Load() {
-		publish(true)
+	if onSnap != nil && !stopped {
+		seq++
+		onSnap(exec.Progress{
+			Seq:      seq,
+			Elapsed:  time.Since(start),
+			Walks:    res.Walks,
+			Snapshot: res,
+			Final:    true,
+		})
 	}
 	return res, pstats, nil
 }

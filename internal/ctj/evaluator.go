@@ -147,26 +147,19 @@ func (e *Evaluator) Shared() *SharedCache { return e.shared }
 // Plan returns the plan this session evaluates.
 func (e *Evaluator) Plan() *query.Plan { return e.pl }
 
-// key builds the cache key for boundary step under bindings b. extra values
-// (e.g. the group and counted values for aggregate caches) are appended
-// after the interface values. ok is false when the values overflow the
-// fixed key; callers then compute uncached.
-func (e *Evaluator) key(step int, b query.Bindings, extra ...rdf.ID) (k ckey, ok bool) {
+// key builds the cache key for boundary step under bindings b: the
+// boundary's interface values, padded with NoID. ok is false when they
+// overflow the fixed key; callers then compute uncached.
+func (e *Evaluator) key(step int, b query.Bindings) (k ckey, ok bool) {
 	iface := e.pl.Iface(step)
-	if len(iface)+len(extra) > maxIface {
+	if len(iface) > maxIface {
 		return k, false
 	}
 	k.step = int8(step)
-	i := 0
-	for _, v := range iface {
+	for i, v := range iface {
 		k.vals[i] = b[v]
-		i++
 	}
-	for _, x := range extra {
-		k.vals[i] = x
-		i++
-	}
-	for ; i < maxIface; i++ {
+	for i := len(iface); i < maxIface; i++ {
 		k.vals[i] = rdf.NoID
 	}
 	return k, true

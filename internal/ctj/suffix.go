@@ -60,10 +60,13 @@ func (e *Evaluator) SuffixAgg(i int, b query.Bindings) []SuffixGroup {
 	if b[beta] != rdf.NoID {
 		bBound = b[beta]
 	}
-	k, ok := e.key(i+1, b, aBound, bBound)
-	if !ok {
+	// The key extends the interface with the bound α and β.
+	k, ok := e.key(i+1, b)
+	n := len(e.pl.Iface(i + 1))
+	if !ok || n+2 > maxIface {
 		return e.computeSuffixAgg(i, b)
 	}
+	k.vals[n], k.vals[n+1] = aBound, bBound
 	if e.shared != nil {
 		return e.sharedSuffixAgg(k, i, b)
 	}

@@ -278,9 +278,11 @@ func (c *Coordinator) Run(ctx context.Context, q *query.Query, opts RunOptions, 
 		return wj.Result{}, rstats, err
 	}
 	total := 0
+	icards := make([]int, K)
 	for k := 0; k < K; k++ {
-		rstats.PerShard[k].RootCard = int(cards[k])
-		total += int(cards[k])
+		icards[k] = int(cards[k])
+		rstats.PerShard[k].RootCard = icards[k]
+		total += icards[k]
 	}
 	if total == 0 {
 		res := wj.MergeStratified(nil, stats.Z95)
@@ -290,41 +292,13 @@ func (c *Coordinator) Run(ctx context.Context, q *query.Query, opts RunOptions, 
 		return res, rstats, nil
 	}
 
-	// Phase 2: allocation — shard.RunScatter's proportional quota and batch
-	// math, verbatim, so equal seeds yield equal walks.
-	base := xopts.Batch
-	if base <= 0 {
-		base = exec.DefaultBatch
-	}
-	active := 0
-	for k := 0; k < K; k++ {
-		if cards[k] > 0 {
-			active++
-		}
-	}
+	// Phase 2: allocation — shard.Allocate, as in shard.RunScatter, so equal
+	// seeds yield equal walks.
+	alloc := shard.Allocate(icards, xopts.MaxWalks, xopts.Batch, wps)
 	reqs := make([]runReq, K)
 	for k := 0; k < K; k++ {
 		if cards[k] == 0 {
 			continue
-		}
-		share := float64(cards[k]) / float64(total)
-		var pw int64
-		if xopts.MaxWalks > 0 {
-			quota := int64(float64(xopts.MaxWalks)*share + 0.5)
-			if quota < 1 {
-				quota = 1
-			}
-			pw = quota / int64(wps)
-			if pw < 1 {
-				pw = 1
-			}
-		}
-		b := int(float64(base) * share * float64(active))
-		if b < 1 {
-			b = 1
-		}
-		if b > 8192 {
-			b = 8192
 		}
 		seeds := make([]int64, wps)
 		for j := 0; j < wps; j++ {
@@ -334,8 +308,8 @@ func (c *Coordinator) Run(ctx context.Context, q *query.Query, opts RunOptions, 
 			Query:          q,
 			Stratum:        k,
 			Seeds:          seeds,
-			MaxWalksPerW:   pw,
-			Batch:          b,
+			MaxWalksPerW:   alloc[k].MaxWalks,
+			Batch:          alloc[k].Batch,
 			BudgetMillis:   xopts.Budget.Milliseconds(),
 			IntervalMillis: xopts.Interval.Milliseconds(),
 			Threshold:      opts.Threshold,
@@ -395,25 +369,9 @@ func (c *Coordinator) Run(ctx context.Context, q *query.Query, opts RunOptions, 
 		}
 		return ok
 	}
-	pubStop := make(chan struct{})
-	var pubWG sync.WaitGroup
+	stopPub := func() {}
 	if onSnap != nil && xopts.Interval > 0 {
-		pubWG.Add(1)
-		go func() {
-			defer pubWG.Done()
-			ticker := time.NewTicker(xopts.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-pubStop:
-					return
-				case <-ticker.C:
-					if !publish(false) {
-						return
-					}
-				}
-			}
-		}()
+		stopPub = exec.Every(xopts.Interval, func() bool { return publish(false) })
 	}
 
 	var wg sync.WaitGroup
@@ -446,8 +404,7 @@ func (c *Coordinator) Run(ctx context.Context, q *query.Query, opts RunOptions, 
 		}(k)
 	}
 	wg.Wait()
-	close(pubStop)
-	pubWG.Wait()
+	stopPub()
 
 	// Finish: strata k-ascending, empty strata skipped — shard.RunScatter's
 	// merge order.
@@ -728,7 +685,7 @@ func (c *Coordinator) Exact(ctx context.Context, q *query.Query, budget time.Dur
 
 // ExactUnion evaluates a union exactly on one live worker, which shares the
 // DISTINCT dedup set and AVG numerator/denominator across branches against
-// its hybrid-resolver view of the whole set — the semantics a merge of
+// its hybrid Source over the whole set — the semantics a merge of
 // per-branch exact results cannot reproduce. Retries on worker loss like
 // Exact.
 func (c *Coordinator) ExactUnion(ctx context.Context, u *query.UnionQuery, budget time.Duration) (map[rdf.ID]float64, error) {
@@ -742,7 +699,7 @@ func (c *Coordinator) ExactUnion(ctx context.Context, u *query.UnionQuery, budge
 
 // runExact evaluates the exact fallback on any live worker (replicate
 // workers hold the whole set; own-placement workers reach peers through
-// their hybrid resolver), retrying on worker loss.
+// their hybrid Source), retrying on worker loss.
 func (c *Coordinator) runExact(ctx context.Context, q *query.Query, u *query.UnionQuery, xopts exec.Options, wireIn, wireOut *atomic.Int64) (wj.Result, error) {
 	tried := make(map[*workerRef]bool)
 	for {

@@ -159,8 +159,8 @@ type exactReq struct {
 	Query *query.Query `json:"query"`
 	// Union, when non-nil, asks for the exact cross-branch union evaluation
 	// instead (Query is then ignored). Added with ProtoVersion 2: one worker
-	// evaluates all branches against its hybrid-resolver view of the whole
-	// set, sharing the DISTINCT dedup set and AVG numerator/denominator
+	// evaluates all branches against its hybrid Source over the whole set,
+	// sharing the DISTINCT dedup set and AVG numerator/denominator
 	// across branches — semantics no merge of per-branch results can give.
 	Union        *query.UnionQuery `json:"union,omitempty"`
 	BudgetMillis int64             `json:"budget_millis,omitempty"`

@@ -566,37 +566,13 @@ func (w *Worker) handleRun(c *conn, payload []byte) error {
 	hung := false
 	snaps := 0
 	var seq uint32
-	// mergeLeaves folds per-walker clones into one accumulator per leaf
-	// stratum, leaf-ascending — the order the final merge uses too.
-	mergeLeaves := func(latest []*wj.Acc) []*wj.Acc {
-		accs := make([]*wj.Acc, 0, L)
-		for l := 0; l < L; l++ {
-			var merged *wj.Acc
-			for j := 0; j < wps; j++ {
-				a := latest[l*wps+j]
-				if a == nil {
-					continue
-				}
-				if merged == nil {
-					merged = wj.NewAcc()
-					merged.Distinct = a.Distinct
-				}
-				merged.Merge(a)
-			}
-			if merged != nil {
-				accs = append(accs, merged)
-			}
-		}
-		return accs
-	}
-	sendSnap := func(latest []*wj.Acc) error {
+	sendSnap := func(accs []*wj.Acc) error {
 		if hung {
 			return nil
 		}
 		seq++
 		wb := wbuf{}
 		wb.u32(seq)
-		accs := mergeLeaves(latest)
 		wb.u8(byte(len(accs))) // 0 = heartbeat only
 		for _, a := range accs {
 			wb.b = appendAcc(wb.b, a)
@@ -615,96 +591,32 @@ func (w *Worker) handleRun(c *conn, payload []byte) error {
 		return nil
 	}
 
-	// Per-walker publish state, mirroring RunScatter's latest-clone merge.
-	latest := make([]*wj.Acc, L*wps)
-	var mu sync.Mutex
 	o := exec.Options{
 		Budget:   time.Duration(req.BudgetMillis) * time.Millisecond,
 		MaxWalks: req.MaxWalksPerW,
 		Batch:    req.Batch,
-	}
-	if interval > 0 {
-		o.Interval = interval
+		Interval: interval,
 	}
 	// With sub-strata the stratum's budget splits across leaves by root
 	// cardinality, exactly as the coordinator split the global budget across
 	// shards (the pool goroutines cannot re-run Neyman allocation; in-process
 	// single-threaded steppers do, see shard.Scatter).
 	perLeaf := make([]exec.Options, L)
-	for l := 0; l < L; l++ {
-		ol := o
+	for l, a := range shard.Allocate(cards, o.MaxWalks, o.Batch, 1) {
+		perLeaf[l] = o
 		if L > 1 && cardTotal > 0 {
-			share := float64(cards[l]) / float64(cardTotal)
-			if o.MaxWalks > 0 {
-				pw := int64(float64(o.MaxWalks)*share + 0.5)
-				if pw < 1 {
-					pw = 1
-				}
-				ol.MaxWalks = pw
-			}
-			if o.Batch > 0 {
-				b := int(float64(o.Batch) * share * float64(L))
-				if b < 1 {
-					b = 1
-				}
-				if b > 8192 {
-					b = 8192
-				}
-				ol.Batch = b
-			}
-		}
-		perLeaf[l] = ol
-	}
-
-	pubStop := make(chan struct{})
-	var pubWG sync.WaitGroup
-	pubWG.Add(1)
-	go func() {
-		defer pubWG.Done()
-		ticker := time.NewTicker(hb)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-pubStop:
-				return
-			case <-ticker.C:
-				mu.Lock()
-				clones := make([]*wj.Acc, len(latest))
-				copy(clones, latest)
-				mu.Unlock()
-				if err := sendSnap(clones); err != nil {
-					cancel()
-					return
-				}
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errs := make([]error, L*wps)
-	for l := 0; l < L; l++ {
-		for j := 0; j < wps; j++ {
-			oj := perLeaf[l]
-			idx := l*wps + j
-			if interval > 0 {
-				l, j := l, j
-				oj.OnSnapshot = func(exec.Progress) bool {
-					mu.Lock()
-					latest[idx] = walkers[l][j].Acc().Clone()
-					mu.Unlock()
-					return true
-				}
-			}
-			wg.Add(1)
-			go func(wk *walk.Walker, o exec.Options, e int) {
-				defer wg.Done()
-				_, errs[e] = exec.Drive(ctx, wk, o)
-			}(walkers[l][j], oj, idx)
+			perLeaf[l].MaxWalks, perLeaf[l].Batch = a.MaxWalks, a.Batch
 		}
 	}
-	wg.Wait()
-	close(pubStop)
-	pubWG.Wait()
+	// Snapshots (or bare heartbeats before the first clone) go out every
+	// heartbeat; the walkers' latest clones are merged per leaf.
+	errs := exec.DrivePools(ctx, walkers, perLeaf, hb, func(accs []*wj.Acc) bool {
+		if err := sendSnap(accs); err != nil {
+			cancel()
+			return false
+		}
+		return true
+	})
 
 	if hung {
 		// Fault injection: present a wedged worker — no Done, connection

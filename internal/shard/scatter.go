@@ -3,8 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"kgexplore/internal/card"
@@ -53,39 +51,21 @@ type ScatterOptions struct {
 	AdaptEvery int64
 }
 
-// subStrataAll computes every shard's semantic sub-strata. Entry k is nil
-// when shard k does not stratify (distinct plan, membership or empty root,
-// remote shard, single bucket, fragmented runs) — such shards keep one
-// uniform walker.
-func subStrataAll(set *Set, pl *query.Plan, maxStrata int) [][]index.RootStratum {
-	out := make([][]index.RootStratum, set.K())
-	if pl.Query.Distinct || pl.Steps[0].Kind == query.AccessMembership {
-		return out
-	}
-	st0 := &pl.Steps[0]
-	b := pl.NewBindings()
-	for k := 0; k < set.K(); k++ {
-		store := set.stores[k]
-		if store == nil {
-			continue // remote shard: roots are not local to this process
-		}
-		span, ok := st0.ResolveSpan(store, b)
-		if !ok {
-			continue
-		}
-		out[k] = index.StratifyRoots(store, st0.Order, span, maxStrata)
-	}
-	return out
-}
-
-// SubStrata computes shard k's semantic root strata, or nil when that shard
-// does not stratify (see subStrataAll). Distributed workers call this to
-// nest characteristic-set strata inside their own shard stratum.
+// SubStrata computes shard k's semantic root strata (index.StratifyRoots
+// over its root span), or nil when the shard does not stratify: a distinct
+// plan, a membership or empty root, a remote shard, a single bucket or
+// fragmented runs. Such shards keep one uniform walker. Distributed workers
+// call this to nest characteristic-set strata inside their own stratum.
 func SubStrata(set *Set, pl *query.Plan, k, maxStrata int) []index.RootStratum {
-	if k < 0 || k >= set.K() {
+	st0 := &pl.Steps[0]
+	if k < 0 || k >= set.K() || set.stores[k] == nil || pl.Query.Distinct || st0.Kind == query.AccessMembership {
 		return nil
 	}
-	return subStrataAll(set, pl, maxStrata)[k]
+	span, ok := st0.ResolveSpan(set.stores[k], pl.NewBindings())
+	if !ok {
+		return nil
+	}
+	return index.StratifyRoots(set.stores[k], st0.Order, span, maxStrata)
 }
 
 // leafSpec names one walk stratum of a scatter run: a shard, optionally
@@ -97,22 +77,58 @@ type leafSpec struct {
 
 // scatterLeaves expands the shard list into leaf strata under opts.
 func scatterLeaves(set *Set, pl *query.Plan, opts ScatterOptions) []leafSpec {
-	K := set.K()
-	leaves := make([]leafSpec, 0, K)
-	var subs [][]index.RootStratum
-	if opts.Stratify {
-		subs = subStrataAll(set, pl, opts.MaxStrata)
-	}
-	for k := 0; k < K; k++ {
-		if opts.Stratify && len(subs[k]) > 0 {
-			for i := range subs[k] {
-				leaves = append(leaves, leafSpec{shard: k, root: &subs[k][i]})
-			}
-			continue
+	var leaves []leafSpec
+	for k := 0; k < set.K(); k++ {
+		var subs []index.RootStratum
+		if opts.Stratify {
+			subs = SubStrata(set, pl, k, opts.MaxStrata)
 		}
-		leaves = append(leaves, leafSpec{shard: k})
+		for i := range subs {
+			leaves = append(leaves, leafSpec{shard: k, root: &subs[i]})
+		}
+		if len(subs) == 0 {
+			leaves = append(leaves, leafSpec{shard: k})
+		}
 	}
 	return leaves
+}
+
+// leafWalkers builds wps walkers per leaf: walker j of leaf l seeds from
+// core.WorkerSeed(opts.Seed, l·wps+j), and the walkers of one shard share
+// its stratum cache.
+func leafWalkers(set *Set, pl *query.Plan, leaves []leafSpec, opts ScatterOptions, est card.Estimator, caches []*Cache, wps int) ([][]*walk.Walker, error) {
+	pools := make([][]*walk.Walker, len(leaves))
+	for l, leaf := range leaves {
+		for j := 0; j < wps; j++ {
+			w, err := NewWalker(set, pl, leaf.shard, WalkerOptions{
+				Threshold: opts.Threshold,
+				Seed:      core.WorkerSeed(opts.Seed, l*wps+j),
+				Cache:     caches[leaf.shard],
+				Estimator: est,
+				Root:      leaf.root,
+			})
+			if err != nil {
+				return nil, err
+			}
+			pools[l] = append(pools[l], w)
+		}
+	}
+	return pools, nil
+}
+
+// stratumCaches returns one cache per shard: the caller's warm caches when
+// it passed one per shard, fresh ones for the gaps.
+func stratumCaches(caches []*Cache, k int) []*Cache {
+	out := make([]*Cache, k)
+	if len(caches) == k {
+		copy(out, caches)
+	}
+	for i := range out {
+		if out[i] == nil {
+			out[i] = NewCache()
+		}
+	}
+	return out
 }
 
 // ShardRunStats reports one stratum's share of a scatter-gather run.
@@ -174,18 +190,13 @@ func NewScatter(set *Set, pl *query.Plan, opts ScatterOptions) (*Scatter, error)
 	est := setEstimator(set, opts.Estimator)
 	s := &Scatter{}
 	leaves := scatterLeaves(set, pl, opts)
+	pools, err := leafWalkers(set, pl, leaves, opts, est, stratumCaches(opts.Caches, set.K()), 1)
+	if err != nil {
+		return nil, err
+	}
 	stratified := false
 	for li, leaf := range leaves {
-		w, err := NewWalker(set, pl, leaf.shard, WalkerOptions{
-			Threshold: opts.Threshold,
-			Seed:      core.WorkerSeed(opts.Seed, li),
-			Cache:     cacheFor(opts.Caches, leaf.shard),
-			Estimator: est,
-			Root:      leaf.root,
-		})
-		if err != nil {
-			return nil, err
-		}
+		w := pools[li][0]
 		if w.RootCard() == 0 && len(leaves) > 1 {
 			continue // empty stratum contributes exactly zero
 		}
@@ -206,11 +217,7 @@ func NewScatter(set *Set, pl *query.Plan, opts ScatterOptions) (*Scatter, error)
 	if len(s.walkers) == 0 {
 		// Every stratum is empty. Keep one walker so Step still advances the
 		// walk counter (its walks all reject) and drivers terminate.
-		w, err := NewWalker(set, pl, 0, WalkerOptions{Threshold: opts.Threshold, Seed: opts.Seed, Estimator: est})
-		if err != nil {
-			return nil, err
-		}
-		s.walkers = append(s.walkers, w)
+		s.walkers = append(s.walkers, pools[0][0])
 		s.weights = append(s.weights, 1)
 		s.totalW = 1
 	}
@@ -222,13 +229,6 @@ func NewScatter(set *Set, pl *query.Plan, opts ScatterOptions) (*Scatter, error)
 	}
 	s.credit = make([]float64, len(s.walkers))
 	return s, nil
-}
-
-func cacheFor(caches []*Cache, k int) *Cache {
-	if k < len(caches) {
-		return caches[k]
-	}
-	return nil
 }
 
 // Step walks the stratum with the highest accumulated credit — over time
@@ -351,22 +351,11 @@ func RunScatter(ctx context.Context, set *Set, pl *query.Plan, opts ScatterOptio
 	}
 	sstats.OwnedDistinct = pl.Query.Distinct
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	wps := opts.WorkersPerShard
 	if wps < 1 {
 		wps = 1
 	}
-	caches := opts.Caches
-	if len(caches) != K {
-		caches = make([]*Cache, K)
-	}
-	for k := range caches {
-		if caches[k] == nil {
-			caches[k] = NewCache()
-		}
-	}
+	caches := stratumCaches(opts.Caches, K)
 
 	// Expand the shards into leaf strata (one per shard, or shard ×
 	// characteristic-set bucket under opts.Stratify), build the pools and
@@ -374,26 +363,13 @@ func RunScatter(ctx context.Context, set *Set, pl *query.Plan, opts ScatterOptio
 	leaves := scatterLeaves(set, pl, opts)
 	L := len(leaves)
 	sstats.Strata = L
-	walkers := make([][]*walk.Walker, L)
+	walkers, err := leafWalkers(set, pl, leaves, opts, est, caches, wps)
+	if err != nil {
+		return wj.Result{}, sstats, err
+	}
 	cards := make([]int, L)
 	total := 0
-	widx := 0
 	for li, leaf := range leaves {
-		walkers[li] = make([]*walk.Walker, wps)
-		for j := 0; j < wps; j++ {
-			w, err := NewWalker(set, pl, leaf.shard, WalkerOptions{
-				Threshold: opts.Threshold,
-				Seed:      core.WorkerSeed(opts.Seed, widx),
-				Cache:     caches[leaf.shard],
-				Estimator: est,
-				Root:      leaf.root,
-			})
-			if err != nil {
-				return wj.Result{}, sstats, err
-			}
-			walkers[li][j] = w
-			widx++
-		}
 		cards[li] = walkers[li][0].RootCard()
 		sstats.PerShard[leaf.shard].RootCard += cards[li]
 		total += cards[li]
@@ -429,161 +405,56 @@ func RunScatter(ctx context.Context, set *Set, pl *query.Plan, opts ScatterOptio
 		return res, sstats, nil
 	}
 
-	// Proportional allocation. MaxWalks is the total budget: leaf stratum k
-	// gets ⌈MaxWalks·card_k/total⌉ (at least one walk per non-empty stratum
-	// so no stratum is silently dropped), split over its pool. In pure
-	// budget-driven runs the same proportions are approximated by scaling
-	// each pool's batch size, so strata advance at cardinality-proportional
-	// rates between deadline checks. (Pools run as independent goroutines
-	// behind exec.Drive, so cross-pool Neyman reallocation does not apply
-	// here; the single-threaded Scatter stepper adapts, see NewScatter.)
-	base := xopts.Batch
-	if base <= 0 {
-		base = exec.DefaultBatch
-	}
-	active := 0
-	for k := 0; k < L; k++ {
-		if cards[k] > 0 {
-			active++
-		}
-	}
-	perWorker := make([]exec.Options, L)
-	for k := 0; k < L; k++ {
+	// Proportional allocation over the non-empty leaves (see Allocate).
+	// Pools run as independent goroutines behind exec.Drive, so cross-pool
+	// Neyman reallocation does not apply here; the single-threaded Scatter
+	// stepper adapts, see NewScatter.
+	alloc := Allocate(cards, xopts.MaxWalks, xopts.Batch, wps)
+	var pools [][]*walk.Walker
+	var perLeaf []exec.Options
+	for k := range leaves {
 		if cards[k] == 0 {
 			continue
 		}
 		o := xopts
 		o.OnSnapshot = nil
-		share := float64(cards[k]) / float64(total)
 		if xopts.MaxWalks > 0 {
-			quota := int64(float64(xopts.MaxWalks)*share + 0.5)
-			if quota < 1 {
-				quota = 1
-			}
-			pw := quota / int64(wps)
-			if pw < 1 {
-				pw = 1
-			}
-			o.MaxWalks = pw
+			o.MaxWalks = alloc[k].MaxWalks
 		}
-		b := int(float64(base) * share * float64(active))
-		if b < 1 {
-			b = 1
-		}
-		if b > 8192 {
-			b = 8192
-		}
-		o.Batch = b
-		perWorker[k] = o
+		o.Batch = alloc[k].Batch
+		pools = append(pools, walkers[k])
+		perLeaf = append(perLeaf, o)
 	}
 
-	// Publisher mirroring core.RunParallelStats: workers publish clones at
-	// their own cadence; a dedicated goroutine folds the latest clones into
-	// merged progressive snapshots.
-	latest := make([][]*wj.Acc, L)
-	for k := range latest {
-		latest[k] = make([]*wj.Acc, wps)
-	}
-	var mu sync.Mutex // guards latest
-	var stopped atomic.Bool
+	// Progressive snapshots merge the walkers' latest published clones, as
+	// core.RunParallelStats does.
 	onSnap := xopts.OnSnapshot
-
-	mergedLocked := func() wj.Result {
-		accs := make([]*wj.Acc, 0, L)
-		for k := 0; k < L; k++ {
-			var m *wj.Acc
-			for _, a := range latest[k] {
-				if a == nil {
-					continue
-				}
-				if m == nil {
-					m = wj.NewAcc()
-				}
-				m.Merge(a)
-			}
-			if m != nil {
-				accs = append(accs, m)
-			}
-		}
-		return wj.MergeStratified(accs, stats.Z95)
-	}
 	start := time.Now()
 	seq := 0
-	publish := func(final bool) bool {
-		mu.Lock()
-		merged := mergedLocked()
-		mu.Unlock()
-		seq++
-		ok := onSnap(exec.Progress{
-			Seq:      seq,
-			Elapsed:  time.Since(start),
-			Walks:    merged.Walks,
-			Snapshot: merged,
-			Final:    final,
-		})
-		if !ok {
-			stopped.Store(true)
-			cancel()
-		}
-		return ok
-	}
-	pubStop := make(chan struct{})
-	var pubWG sync.WaitGroup
+	stopped := false
+	var tick func([]*wj.Acc) bool
 	if onSnap != nil && xopts.Interval > 0 {
-		pubWG.Add(1)
-		go func() {
-			defer pubWG.Done()
-			ticker := time.NewTicker(xopts.Interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-pubStop:
-					return
-				case <-ticker.C:
-					if !publish(false) {
-						return
-					}
-				}
-			}
-		}()
-	}
-
-	errs := make([]error, L*wps)
-	var wg sync.WaitGroup
-	for k := 0; k < L; k++ {
-		if cards[k] == 0 {
-			continue
-		}
-		for j := 0; j < wps; j++ {
-			o := perWorker[k]
-			if onSnap != nil && xopts.Interval > 0 {
-				k, j := k, j
-				o.OnSnapshot = func(exec.Progress) bool {
-					mu.Lock()
-					latest[k][j] = walkers[k][j].Acc().Clone()
-					mu.Unlock()
-					return true
-				}
-				o.Interval = xopts.Interval
-			}
-			wg.Add(1)
-			go func(w *walk.Walker, o exec.Options, e int) {
-				defer wg.Done()
-				_, errs[e] = exec.Drive(ctx, w, o)
-			}(walkers[k][j], o, k*wps+j)
+		tick = func(accs []*wj.Acc) bool {
+			merged := wj.MergeStratified(accs, stats.Z95)
+			seq++
+			stopped = !onSnap(exec.Progress{
+				Seq:      seq,
+				Elapsed:  time.Since(start),
+				Walks:    merged.Walks,
+				Snapshot: merged,
+			})
+			return !stopped
 		}
 	}
-	wg.Wait()
-	close(pubStop)
-	pubWG.Wait()
+	errs := exec.DrivePools(ctx, pools, perLeaf, xopts.Interval, tick)
 
 	res := finish()
 	for _, err := range errs {
-		if err != nil && !(stopped.Load() && errors.Is(err, context.Canceled)) {
+		if err != nil && !(stopped && errors.Is(err, context.Canceled)) {
 			return res, sstats, err
 		}
 	}
-	if onSnap != nil && !stopped.Load() {
+	if onSnap != nil && !stopped {
 		seq++
 		onSnap(exec.Progress{
 			Seq:      seq,

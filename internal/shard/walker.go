@@ -137,24 +137,26 @@ type owned struct {
 	pl    *query.Plan
 	enum  *walk.Enumerator
 	cache *walk.Cache
-	kind  query.AccessKind
-	order index.Order
+	// own is the root step with its subject bound too: its candidates are
+	// the root triples of one subject.
+	own query.Step
 	// b is the enumeration scratch binding buffer.
 	b query.Bindings
 }
 
 func newOwned(set *Set, src walk.Source, pl *query.Plan, stratum int, cache *walk.Cache) *owned {
-	mask := pl.Steps[0].Bound
-	mask[index.S] = true
-	kind, order, _ := query.AccessFor(mask) // Owned checked it is servable
+	own := pl.Steps[0]
+	own.Bound[index.S] = true
+	own.Kind, own.Order, _ = query.AccessFor(own.Bound) // Owned checked it is servable
+	levels := own.Order.Levels()
+	own.Key0, own.Key1 = own.Pattern.Atom(levels[0]), own.Pattern.Atom(levels[1])
 	return &owned{
 		store: set.stores[stratum],
 		src:   src,
 		pl:    pl,
 		enum:  walk.NewEnumerator(src, pl),
 		cache: cache,
-		kind:  kind,
-		order: order,
+		own:   own,
 		b:     pl.NewBindings(),
 	}
 }
@@ -167,35 +169,19 @@ func (o *owned) groups(t rdf.Triple) ([]rdf.ID, int) {
 	return o.cache.PutRoot(t.S, groups, n)
 }
 
-// rootSpanFor resolves the root pattern restricted to subject v on the
-// stratum store — the n_v lookup. Exact by construction: Owned rejected
-// the one access combination the orders cannot serve.
-func (o *owned) rootSpanFor(v rdf.ID) (index.Span, int) {
-	p := o.pl.Steps[0].Pattern
-	switch o.kind {
-	case query.AccessL1:
-		sp := o.store.SpanL1(index.SPO, v)
-		return sp, sp.Len()
-	case query.AccessL2:
-		sp := o.store.SpanL2(index.PSO, p.P.ID, v)
-		return sp, sp.Len()
-	default: // membership: predicate and object constant
-		if o.store.Contains(rdf.Triple{S: v, P: p.P.ID, O: p.O.ID}) {
-			return index.Span{}, 1
-		}
-		return index.Span{}, 0
-	}
-}
-
+// compute enumerates every root triple with subject v in the stratum store
+// — exactly n_v of them: Owned rejected the one access the orders cannot
+// serve — and every completion of each through the set.
 func (o *owned) compute(v rdf.ID) ([]rdf.ID, int) {
-	sp, n := o.rootSpanFor(v)
-	if n == 0 {
-		return nil, 0
-	}
 	st0 := &o.pl.Steps[0]
 	q := o.pl.Query
 	b := o.b
 	b.Reset()
+	b[q.Beta] = v // β is the root subject
+	sp, ok := o.own.ResolveSpan(o.store, b)
+	if !ok {
+		return nil, 0
+	}
 	seen := make(map[rdf.ID]struct{})
 	visit := func() error {
 		a := wj.GlobalGroup
@@ -213,11 +199,13 @@ func (o *owned) compute(v rdf.ID) ([]rdf.ID, int) {
 			_ = o.enum.Run(1, b, visit)
 		}
 	}
-	if o.kind == query.AccessMembership {
-		extend(rdf.Triple{S: v, P: st0.Pattern.P.ID, O: st0.Pattern.O.ID})
+	n := 1
+	if o.own.Kind == query.AccessMembership {
+		extend(o.own.BoundTriple(b))
 	} else {
-		for i := 0; i < sp.Len(); i++ {
-			extend(o.store.At(o.order, sp, i))
+		n = sp.Len()
+		for i := 0; i < n; i++ {
+			extend(o.store.At(o.own.Order, sp, i))
 		}
 	}
 	st0.Unbind(b)

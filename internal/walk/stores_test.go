@@ -1,8 +1,10 @@
 package walk_test
 
 import (
+	"math"
 	"testing"
 
+	"kgexplore/internal/card"
 	"kgexplore/internal/core"
 	"kgexplore/internal/index"
 	"kgexplore/internal/live"
@@ -10,6 +12,7 @@ import (
 	"kgexplore/internal/rdf"
 	"kgexplore/internal/shard"
 	"kgexplore/internal/testkit"
+	"kgexplore/internal/walk"
 )
 
 // benchFixture is a mid-sized random graph and a grouped two-hop COUNT.
@@ -74,5 +77,50 @@ func BenchmarkWalkLive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Step()
+	}
+}
+
+// TestSuffixOracleMatchesMonolith: the tipping oracle over a sharded set's
+// Source widths (walk.Widths) agrees with the single-store suffix estimator:
+// the disjoint partition makes set-level cardinalities add up.
+func TestSuffixOracleMatchesMonolith(t *testing.T) {
+	g := testkit.RandomGraph(13, 30, 3, 25, 400)
+	pl := mustCompile(t, testkit.ChainQuery(g, []rdf.ID{30, 31}, true, false))
+	st := testkit.BuildStore(g)
+	mono := card.NewSpanStats(st).NewSuffix(pl, card.StoreResolver{Store: st, Plan: pl})
+	b := pl.NewBindings()
+	// Bind the root from the full store and compare suffix estimates.
+	sp, ok := pl.Steps[0].ResolveSpan(st, b)
+	if !ok {
+		t.Skip("empty root")
+	}
+	pl.Steps[0].Bind(st.At(pl.Steps[0].Order, sp, sp.Len()/2), b)
+	want := mono.Estimate(0, b)
+
+	part, err := shard.PartitionerByName("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := shard.Build(g, 4, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := set.Source(pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := make([]*index.Store, set.K())
+	for k := range stores {
+		stores[k] = set.Store(k)
+	}
+	got := card.NewSpanStats(stores...).NewSuffix(pl, walk.Widths(src)).Estimate(0, b)
+	if want == 0 {
+		if got != 0 {
+			t.Fatalf("oracle %v, monolith 0", got)
+		}
+		return
+	}
+	if rel := math.Abs(got-want) / want; rel > 0.5 {
+		t.Fatalf("set-level suffix estimate %v too far from monolith %v", got, want)
 	}
 }

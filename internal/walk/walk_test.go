@@ -70,7 +70,7 @@ func (s *twoPartSource) Read(i int, p walk.Part, off, max int, buf []rdf.Triple)
 }
 
 func (s *twoPartSource) Numeric(id rdf.ID) (float64, bool) { return s.parts[0].Numeric(id) }
-func (s *twoPartSource) Err() error                         { return nil }
+func (s *twoPartSource) Err() error                        { return nil }
 
 // splitGraph puts every other triple of g in part 1 and marks every third
 // of those dead; it returns the store and the graph of live triples.

@@ -285,18 +285,7 @@ func (w *Walker) finish(i int, b query.Bindings, prodD, tipEst float64, tipped b
 		w.acc.Rejected++
 		return
 	}
-	switch w.pl.Query.Agg {
-	case query.AggSum:
-		clear(w.perGroup)
-		for _, e := range agg {
-			if v, ok := w.src.Numeric(e.b); ok {
-				w.perGroup[e.a] += v * float64(e.n) * prodD
-			}
-		}
-		for a, x := range w.perGroup {
-			w.acc.Add(a, x)
-		}
-	case query.AggAvg:
+	if w.pl.Query.Agg == query.AggAvg {
 		clear(w.perGroupND)
 		for _, e := range agg {
 			if v, ok := w.src.Numeric(e.b); ok {
@@ -309,14 +298,21 @@ func (w *Walker) finish(i int, b query.Bindings, prodD, tipEst float64, tipped b
 		for a, x := range w.perGroupND {
 			w.acc.AddRatio(a, x.num, x.den)
 		}
-	default: // COUNT
-		clear(w.perGroup)
-		for _, e := range agg {
-			w.perGroup[e.a] += float64(e.n) * prodD
+		return
+	}
+	// COUNT weighs every path by 1, SUM by its numeric β (others skipped).
+	clear(w.perGroup)
+	for _, e := range agg {
+		v, ok := 1.0, true
+		if w.pl.Query.Agg == query.AggSum {
+			v, ok = w.src.Numeric(e.b)
 		}
-		for a, x := range w.perGroup {
-			w.acc.Add(a, x)
+		if ok {
+			w.perGroup[e.a] += v * float64(e.n) * prodD
 		}
+	}
+	for a, x := range w.perGroup {
+		w.acc.Add(a, x)
 	}
 }
 

@@ -253,8 +253,8 @@ func (d *ShardedDataset) answerUnion(ctx context.Context, up *UnionPlan, opts Sh
 // Health reports nothing beyond liveness for an immutable shard set.
 func (d *ShardedDataset) Health(context.Context) BackendHealth { return BackendHealth{} }
 
-// Answer evaluates the target over the shards: exactly by resolver-backed
-// enumeration, or online by scatter-gather Audit Join (RunScatter, its
+// Answer evaluates the target over the shards: exactly by enumeration
+// through the set's walk.Source, or online by scatter-gather Audit Join (RunScatter, its
 // per-shard walker pools warm-started from spec.ShardCaches; union branches
 // interleave on one stepper). A COUNT(DISTINCT) plan whose variable the
 // partition key does not own, and every DISTINCT union, are answered
