@@ -107,10 +107,6 @@ type WalkerOptions struct {
 	Threshold float64
 	// Seed seeds the walker's private random source.
 	Seed int64
-	// Estimator drives the tipping oracle; nil selects span statistics
-	// summed over base+delta. (Adjacent-step widths always come from the
-	// exact merged candidate counts regardless.)
-	Estimator card.Estimator
 }
 
 // NewWalker creates an Audit Join walker over the view: roots sample
@@ -118,20 +114,17 @@ type WalkerOptions struct {
 // tombstone rejects the walk, and tipped walks finish by merged-view
 // enumeration. The walker holds the view: its estimates refer to that
 // generation, which is the snapshot consistency a chart run wants under
-// ingest. Distinct plans fail with ErrDistinctOverlay.
+// ingest. The tipping oracle is span statistics summed over base and
+// delta. Distinct plans fail with ErrDistinctOverlay.
 func NewWalker(v *View, pl *query.Plan, opts WalkerOptions) (*walk.Walker, error) {
 	if pl.Query.Distinct {
 		return nil, ErrDistinctOverlay
-	}
-	est := opts.Estimator
-	if est == nil {
-		est = card.NewSpanStats(v.stores()...)
 	}
 	src, _ := v.Source(pl)
 	return walk.New(src, pl, walk.Options{
 		Threshold: opts.Threshold,
 		Seed:      opts.Seed,
-		Estimator: est,
+		Estimator: card.NewSpanStats(v.stores()...),
 		Part:      walk.AllParts,
 	})
 }

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -95,6 +96,21 @@ func (d *Dict) Term(id ID) Term {
 		panic(fmt.Sprintf("rdf: ID %d out of range (dict has %d terms)", id, len(d.terms)))
 	}
 	return d.terms[id]
+}
+
+// OwnStrings copies every term's strings to the heap, so the dictionary no
+// longer aliases the memory it was restored from: a snapshot mapping that
+// is unmapped while the dictionary lives on. Term values do not change.
+func (d *Dict) OwnStrings() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for i, t := range d.terms {
+		t.Value, t.Datatype, t.Lang = strings.Clone(t.Value), strings.Clone(t.Datatype), strings.Clone(t.Lang)
+		d.terms[i] = t
+	}
+	// The reverse map's keys hold the old strings: drop it, and let the next
+	// lookup rebuild it (no ensureIDs runs while the write lock is held).
+	d.ids, d.idsOnce = nil, sync.Once{}
 }
 
 // Len returns the number of interned terms.

@@ -34,11 +34,6 @@ type Options struct {
 	// Verify forces full payload-checksum verification even on mmap loads
 	// (copy loads always verify). It reads every page of the file.
 	Verify bool
-	// HeapDict copies the dictionary's strings to the heap on mmap loads
-	// instead of aliasing the mapping, for a dictionary that must outlive
-	// it: a live store keeps interning into its base's dictionary after
-	// compaction retires and unmaps that base.
-	HeapDict bool
 }
 
 // Loaded is a loaded snapshot: the restored store plus the resources backing
@@ -117,7 +112,7 @@ func loadFileMmap(path string, opts Options) (*Loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	l, err := load(data, true, opts)
+	l, err := load(data, true, opts.Verify)
 	if err != nil {
 		munmap(data)
 		return nil, err
@@ -131,7 +126,7 @@ func loadFileMmap(path string, opts Options) (*Loaded, error) {
 // checksum is verified and the resulting store shares no memory with data.
 // This is the fuzzing entry point.
 func LoadBytes(data []byte) (*Loaded, error) {
-	return load(data, false, Options{Verify: true})
+	return load(data, false, true)
 }
 
 // file is a parsed snapshot image: the raw bytes plus the validated section
@@ -226,8 +221,8 @@ func (f *file) payload(e sectionEntry) []byte { return f.data[e.off : e.off+e.si
 // directly over data (mmap); alias=false decodes into private memory and
 // bounds-checks every span so hostile images cannot produce a store that
 // panics later.
-func load(data []byte, alias bool, opts Options) (*Loaded, error) {
-	f, err := parseFile(data, opts.Verify)
+func load(data []byte, alias, verifyPayloads bool) (*Loaded, error) {
+	f, err := parseFile(data, verifyPayloads)
 	if err != nil {
 		return nil, err
 	}
@@ -251,7 +246,7 @@ func load(data []byte, alias bool, opts Options) (*Loaded, error) {
 	if dictEntry.count != uint64(meta.DictLen) {
 		return nil, fmt.Errorf("snap: dict section has %d terms, meta says %d", dictEntry.count, meta.DictLen)
 	}
-	terms, err := decodeTerms(f.payload(dictEntry), meta.DictLen, alias && !opts.HeapDict)
+	terms, err := decodeTerms(f.payload(dictEntry), meta.DictLen, alias)
 	if err != nil {
 		return nil, err
 	}

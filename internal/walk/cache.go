@@ -7,17 +7,17 @@ import (
 	"kgexplore/internal/rdf"
 )
 
-// maxKeyVals is the capacity of a suffix cache key: the boundary's
+// maxIfaceVals is the capacity of a suffix cache key: the boundary's
 // interface values (query.Plan.Iface) plus the bound α and β. A boundary
 // whose values do not fit is computed uncached — the one overflow rule of
 // every suffix cache; it never panics.
-const maxKeyVals = 8
+const maxIfaceVals = 8
 
 // aggKey identifies a cached suffix aggregation: the boundary step plus the
 // values of its interface variables and the already-bound α/β.
 type aggKey struct {
 	step int8
-	vals [maxKeyVals]rdf.ID
+	vals [maxIfaceVals]rdf.ID
 }
 
 // suffixEntry is one (α, β) group of an exactly enumerated suffix: a and b

@@ -332,7 +332,7 @@ func (w *Walker) suffixAgg(i int, b query.Bindings) []suffixEntry {
 func (w *Walker) aggKeyAt(step int, b query.Bindings) (k aggKey, ok bool) {
 	q := w.pl.Query
 	iface := w.pl.Iface(step)
-	if len(iface)+2 > maxKeyVals {
+	if len(iface)+2 > maxIfaceVals {
 		return k, false
 	}
 	k.step = int8(step)
@@ -345,7 +345,7 @@ func (w *Walker) aggKeyAt(step int, b query.Bindings) (k aggKey, ok bool) {
 			k.vals[len(iface)+i] = b[v]
 		}
 	}
-	for i := len(iface) + 2; i < maxKeyVals; i++ {
+	for i := len(iface) + 2; i < maxIfaceVals; i++ {
 		k.vals[i] = rdf.NoID
 	}
 	return k, true

@@ -326,15 +326,11 @@ func (d *Dataset) WriteStoreSnapshotFileOpts(path, source string, o StoreSnapsho
 // copy load on platforms without mmap); with mmap false the snapshot is
 // fully verified and copied into private memory.
 func LoadStoreSnapshotFile(path string, mmap bool) (*StoreSnapshot, error) {
-	return loadStoreSnapshot(path, mmap, false)
-}
-
-func loadStoreSnapshot(path string, mmap, heapDict bool) (*StoreSnapshot, error) {
 	mode := snap.ModeCopy
 	if mmap {
 		mode = snap.ModeAuto
 	}
-	l, err := snap.LoadFile(path, snap.Options{Mode: mode, HeapDict: heapDict})
+	l, err := snap.LoadFile(path, snap.Options{Mode: mode})
 	if err != nil {
 		return nil, err
 	}
@@ -343,6 +339,7 @@ func loadStoreSnapshot(path string, mmap, heapDict bool) (*StoreSnapshot, error)
 		l.Close()
 		return nil, err
 	}
+	ds.mapped = l.Mmap
 	return &StoreSnapshot{Dataset: ds, Mmap: l.Mmap, Source: l.Meta.Source, loaded: l}, nil
 }
 
@@ -358,6 +355,9 @@ type Dataset struct {
 	graph  *rdf.Graph
 	store  *index.Store
 	schema explore.Schema
+	// mapped marks a store loaded zero-copy from a snapshot mapping: its
+	// dictionary's strings alias the mapping.
+	mapped bool
 	// est is the configured cardinality estimator; nil means the default
 	// span statistics (see UseEstimator).
 	est card.Estimator

@@ -33,10 +33,9 @@ type (
 	// LiveWalker runs Audit Join walks over one overlay view. It is a
 	// Stepper: drive it with Drive or RunWalks.
 	LiveWalker = walk.Walker
-	// LiveWalkerOptions configure one overlay walker (tipping threshold,
-	// seed, estimator). The threshold follows the one tipping rule: negative
-	// never tips, 0 tips only on empty suffixes; pass
-	// DefaultTippingThreshold for the default.
+	// LiveWalkerOptions configure one overlay walker: the tipping threshold
+	// (negative never tips, 0 tips only on empty suffixes; pass
+	// DefaultTippingThreshold for the default) and the seed.
 	LiveWalkerOptions = live.WalkerOptions
 	// LiveCompactResult reports one background compaction: the fresh
 	// snapshot path, residual overlay sizes, and the retired base's closer
@@ -75,6 +74,11 @@ type LiveDataset struct {
 // opts.WALPath enables crash-replayable durability for acknowledged
 // batches.
 func (d *Dataset) Live(opts LiveOptions) (*LiveDataset, error) {
+	if d.mapped {
+		// The live store keeps interning into this dictionary after a
+		// compaction has retired the base and its mapping is closed.
+		d.store.Dict().OwnStrings()
+	}
 	ls, err := live.NewStore(d.store, opts)
 	if err != nil {
 		return nil, err
@@ -290,12 +294,9 @@ func (d *LiveDataset) CompactInMemory() (LiveCompactResult, error) {
 
 // LoadLiveDataset loads a base store snapshot (.kgs) and wraps it as a live
 // dataset whose closer is the snapshot mapping: the kgserver -live startup
-// path. walPath ("" disables) configures write-ahead durability. The
-// dictionary is loaded onto the heap even when the index is mapped: the
-// live store keeps interning into it after compaction retires and unmaps
-// this base.
+// path. walPath ("" disables) configures write-ahead durability.
 func LoadLiveDataset(path string, mmap bool, walPath string, noSync bool) (*LiveDataset, error) {
-	ss, err := loadStoreSnapshot(path, mmap, true)
+	ss, err := LoadStoreSnapshotFile(path, mmap)
 	if err != nil {
 		return nil, err
 	}
